@@ -145,11 +145,14 @@ Result<tsa::TimeSeries> ReadSeriesCsv(const std::string& path) {
   if (meta.size() != 3) {
     return Status::IoError("ReadSeriesCsv: malformed metadata line");
   }
-  const std::string name = meta[0];
-  const std::int64_t start_epoch = std::stoll(meta[1]);
-  const int freq_int = std::stoi(meta[2]);
-  if (freq_int < 0 || freq_int > static_cast<int>(tsa::Frequency::kMonthly)) {
-    return Status::IoError("ReadSeriesCsv: bad frequency code");
+  std::string name;
+  std::int64_t start_epoch = 0;
+  tsa::Frequency frequency = tsa::Frequency::kHourly;
+  FieldReader reader(meta);
+  reader(name, start_epoch, Enum{frequency, tsa::Frequency::kMonthly});
+  if (!reader.status().ok()) {
+    return Status::IoError("ReadSeriesCsv: metadata line: " +
+                           reader.status().message());
   }
   // Skip the column header.
   if (!std::getline(in, line)) {
@@ -162,15 +165,13 @@ Result<tsa::TimeSeries> ReadSeriesCsv(const std::string& path) {
     if (fields.size() != 2) {
       return Status::IoError("ReadSeriesCsv: malformed data row");
     }
-    if (fields[1] == "nan") {
-      values.push_back(std::nan(""));
-    } else {
-      values.push_back(std::stod(fields[1]));
+    double value = 0.0;
+    if (!ParseNumber(fields[1], &value)) {  // "nan" parses as NaN
+      return Status::IoError("ReadSeriesCsv: bad value '" + fields[1] + "'");
     }
+    values.push_back(value);
   }
-  return tsa::TimeSeries(name, start_epoch,
-                         static_cast<tsa::Frequency>(freq_int),
-                         std::move(values));
+  return tsa::TimeSeries(name, start_epoch, frequency, std::move(values));
 }
 
 }  // namespace capplan::repo

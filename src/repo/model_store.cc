@@ -1,6 +1,5 @@
 #include "repo/model_store.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/fault.h"
@@ -21,17 +20,6 @@ void ModelRepository::Promote(StoredModel model) {
     previous_[model.key] = it->second;
   }
   models_[model.key] = std::move(model);
-}
-
-Result<StoredModel> ModelRepository::Rollback(const std::string& key) {
-  auto prev = previous_.find(key);
-  if (prev == previous_.end()) {
-    return Status::NotFound("ModelRepository: no rollback lineage for " + key);
-  }
-  StoredModel restored = std::move(prev->second);
-  previous_.erase(prev);
-  models_[key] = restored;
-  return restored;
 }
 
 void ModelRepository::Reinstate(const StoredModel& model) {
@@ -88,33 +76,6 @@ bool ModelRepository::IsStale(const std::string& key, std::int64_t now_epoch,
   return false;
 }
 
-std::string EncodeCoefficients(const std::vector<double>& coef) {
-  std::string out;
-  char buf[40];
-  for (std::size_t i = 0; i < coef.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.17g", coef[i]);
-    if (i > 0) out += ';';
-    out += buf;
-  }
-  return out;
-}
-
-Result<std::vector<double>> DecodeCoefficients(const std::string& text) {
-  std::vector<double> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find(';', pos);
-    if (end == std::string::npos) end = text.size();
-    try {
-      out.push_back(std::stod(text.substr(pos, end - pos)));
-    } catch (const std::exception&) {
-      return Status::IoError("DecodeCoefficients: bad number in: " + text);
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 bool IsKnownTechnique(const std::string& technique) {
   return technique == "ARIMA" || technique == "SARIMAX" ||
          technique == "SARIMAX_FFT_EXOG" || technique == "HES" ||
@@ -124,93 +85,39 @@ bool IsKnownTechnique(const std::string& technique) {
 
 Status ModelRepository::Save(const std::string& path) const {
   CAPPLAN_RETURN_NOT_OK(FaultHit("model_store.save"));
-  CsvTable table;
-  table.header = {"key",       "technique", "spec",    "test_rmse",
-                  "test_mape", "fitted_at_epoch",      "ar_coef", "ma_coef",
-                  "generation", "promoted_at_epoch",   "live_mape",
-                  "periods"};
-  for (const auto& [_, m] : models_) {
-    char rmse[40], mape[40], live[40];
-    std::snprintf(rmse, sizeof(rmse), "%.17g", m.test_rmse);
-    std::snprintf(mape, sizeof(mape), "%.17g", m.test_mape);
-    std::snprintf(live, sizeof(live), "%.17g", m.live_mape);
-    table.rows.push_back({m.key, m.technique, m.spec, rmse, mape,
-                          std::to_string(m.fitted_at_epoch),
-                          EncodeCoefficients(m.ar_coef),
-                          EncodeCoefficients(m.ma_coef),
-                          std::to_string(m.generation),
-                          std::to_string(m.promoted_at_epoch), live,
-                          EncodeCoefficients(m.periods)});
-  }
-  return WriteCsv(path, table);
+  std::vector<StoredModel> rows;
+  for (const auto& [_, m] : models_) rows.push_back(m);
+  return WriteRows(path,
+                   {"key", "technique", "spec", "test_rmse", "test_mape",
+                    "fitted_at_epoch", "ar_coef", "ma_coef", "generation",
+                    "promoted_at_epoch", "live_mape", "periods"},
+                   rows);
 }
-
-namespace {
-
-// Parses one registry row (any of the tolerated layouts). Errors are
-// per-row: the caller skips the row and keeps loading.
-Result<StoredModel> ParseModelRow(const std::vector<std::string>& row) {
-  StoredModel m;
-  m.key = row[0];
-  m.technique = row[1];
-  m.spec = row[2];
-  if (!IsKnownTechnique(m.technique)) {
-    return Status::IoError("unknown technique '" + m.technique +
-                           "' for key " + m.key);
-  }
-  try {
-    m.test_rmse = std::stod(row[3]);
-    m.test_mape = std::stod(row[4]);
-    m.fitted_at_epoch = std::stoll(row[5]);
-  } catch (const std::exception&) {
-    return Status::IoError("bad number for key " + m.key);
-  }
-  if (row.size() >= 8) {
-    CAPPLAN_ASSIGN_OR_RETURN(m.ar_coef, DecodeCoefficients(row[6]));
-    CAPPLAN_ASSIGN_OR_RETURN(m.ma_coef, DecodeCoefficients(row[7]));
-  }
-  if (row.size() >= 11) {
-    try {
-      m.generation = std::stoi(row[8]);
-      m.promoted_at_epoch = std::stoll(row[9]);
-      m.live_mape = std::stod(row[10]);
-    } catch (const std::exception&) {
-      return Status::IoError("bad lineage for key " + m.key);
-    }
-  }
-  if (row.size() >= 12) {
-    CAPPLAN_ASSIGN_OR_RETURN(m.periods, DecodeCoefficients(row[11]));
-  }
-  return m;
-}
-
-}  // namespace
 
 Status ModelRepository::Load(const std::string& path, LoadReport* report) {
   CAPPLAN_ASSIGN_OR_RETURN(CsvTable table, ReadCsv(path));
-  // 6 columns = the pre-coefficient layout, 8 = pre-lineage, 11 =
-  // pre-periods; all tolerated so existing registry files keep loading
-  // (their models simply carry no warm-start hint / lineage / periods).
-  if (table.header.size() != 6 && table.header.size() != 8 &&
-      table.header.size() != 11 && table.header.size() != 12) {
+  if (!KnownArity<StoredModel>(table.header.size())) {
     return Status::IoError("ModelRepository::Load: unexpected column count");
   }
+  // Errors are per row: a malformed or unknown-technique row is reported
+  // and skipped, and the load carries on.
   for (const auto& row : table.rows) {
-    auto parsed = [&]() -> Result<StoredModel> {
-      if (row.size() != table.header.size()) {
-        return Status::IoError("malformed row (" +
-                               std::to_string(row.size()) + " columns)" +
-                               (row.empty() ? "" : " near key " + row[0]));
-      }
-      return ParseModelRow(row);
-    }();
-    if (!parsed.ok()) {
+    Result<StoredModel> model =
+        row.size() == table.header.size()
+            ? DecodeFields<StoredModel>(row)
+            : Status::IoError("malformed row (" + std::to_string(row.size()) +
+                              " columns)");
+    if (model.ok() && !IsKnownTechnique(model->technique)) {
+      model = Status::IoError("unknown technique '" + model->technique + "'");
+    }
+    if (!model.ok()) {
       if (report != nullptr) {
-        report->row_errors.push_back(parsed.status().ToString());
+        report->row_errors.push_back(model.status().ToString() +
+                                     (row.empty() ? "" : " for key " + row[0]));
       }
       continue;
     }
-    models_[parsed->key] = std::move(*parsed);
+    models_[model->key] = std::move(*model);
     if (report != nullptr) ++report->loaded;
   }
   return Status::OK();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/result.h"
 
 namespace capplan::repo {
@@ -40,12 +41,17 @@ struct StoredModel {
   int generation = 0;
   std::int64_t promoted_at_epoch = 0;
   double live_mape = -1.0;
-};
 
-// ';'-joined full-precision encoding of a coefficient vector, used for the
-// ar_coef/ma_coef/periods CSV columns ("" = empty vector).
-std::string EncodeCoefficients(const std::vector<double>& coef);
-Result<std::vector<double>> DecodeCoefficients(const std::string& text);
+  // Registry CSV row. 6 columns = the pre-coefficient layout, 8 =
+  // pre-lineage, 11 = pre-periods; all still load (their models simply
+  // carry no warm-start hint / lineage / periods).
+  static constexpr std::size_t kLegacyArities[] = {6, 8, 11};
+  template <class F>
+  void Fields(F& f) {
+    f(key, technique, spec, test_rmse, test_mape, fitted_at_epoch, ar_coef,
+      ma_coef, generation, promoted_at_epoch, live_mape, periods);
+  }
+};
 
 // Technique strings the repository accepts in a registry row. Kept in sync
 // with core::TechniqueName by tests/repo/model_store_test.cc (the repo layer
@@ -79,15 +85,11 @@ class ModelRepository {
   // it explicitly and it is preserved.
   void Promote(StoredModel model);
 
-  // Restores the rollback slot's model as champion, discarding the current
-  // one. The slot is cleared — the discarded model is exactly what went
-  // bad, so it must never be rolled back *to*; a second rollback needs a
-  // new promotion first. NotFound when the slot is empty.
-  Result<StoredModel> Rollback(const std::string& key);
-
-  // Reinstalls `model` as champion and clears the rollback slot — the
-  // replay-side twin of Rollback(), driven by the journalled kRollback
-  // payload instead of in-memory lineage.
+  // Reinstalls `model` as champion and clears the rollback slot: a
+  // rollback, whose target (normally GetPrevious()) travels in the
+  // journalled kRollback payload. The discarded champion is exactly what
+  // went bad, so it must never be rolled back *to*; a second rollback needs
+  // a new promotion first.
   void Reinstate(const StoredModel& model);
 
   bool HasPrevious(const std::string& key) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 
 #include "common/fault.h"
@@ -27,47 +26,73 @@ double ElapsedMs(Clock::time_point since) {
       .count();
 }
 
-std::string FmtDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+// Where a cached forecast first crosses `threshold` at or after `now`: the
+// mean path first, the upper bound only when the mean never crosses.
+// `covers` is false once the forecast has run out (or is malformed).
+struct BreachScan {
+  bool covers = false;
+  bool breach = false;
+  bool upper_only = false;
+  std::int64_t epoch = 0;
+};
 
-std::string JoinDoubles(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ';';
-    out += FmtDouble(values[i]);
-  }
-  return out;
-}
-
-Result<std::vector<double>> ParseDoubles(const std::string& joined) {
-  std::vector<double> values;
-  if (joined.empty()) return values;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t pos = joined.find(';', begin);
-    const std::string token = pos == std::string::npos
-                                  ? joined.substr(begin)
-                                  : joined.substr(begin, pos - begin);
-    try {
-      values.push_back(std::stod(token));
-    } catch (...) {
-      return Status::IoError("service: bad double '" + token + "'");
+BreachScan ScanForBreach(const CachedForecast& fc, double threshold,
+                         std::int64_t now) {
+  BreachScan scan;
+  const std::int64_t fc_end =
+      fc.start_epoch +
+      static_cast<std::int64_t>(fc.forecast.mean.size()) * fc.step_seconds;
+  if (now >= fc_end || fc.step_seconds <= 0) return scan;
+  scan.covers = true;
+  // First forecast step at or after the clock.
+  std::int64_t first = (now - fc.start_epoch) / fc.step_seconds;
+  if ((now - fc.start_epoch) % fc.step_seconds != 0) ++first;
+  if (first < 0) first = 0;
+  for (const auto* path : {&fc.forecast.mean, &fc.forecast.upper}) {
+    for (auto i = static_cast<std::size_t>(first); i < path->size(); ++i) {
+      if ((*path)[i] > threshold) {
+        scan.breach = true;
+        scan.upper_only = path == &fc.forecast.upper;
+        scan.epoch =
+            fc.start_epoch + static_cast<std::int64_t>(i) * fc.step_seconds;
+        return scan;
+      }
     }
-    if (pos == std::string::npos) return values;
-    begin = pos + 1;
   }
+  return scan;
 }
 
-Result<std::int64_t> ParseInt64(const std::string& s) {
-  try {
-    return static_cast<std::int64_t>(std::stoll(s));
-  } catch (...) {
-    return Status::IoError("service: bad integer '" + s + "'");
+// Snapshot rows, each declared once for writing and loading (the same
+// field codecs as the journal).
+struct ForecastRow {  // snapshot.forecasts.csv; 8 columns = pre-ladder
+  std::string key;
+  CachedForecast cached;
+  static constexpr std::size_t kLegacyArities[] = {8};
+  template <class F>
+  void Fields(F& f) {
+    f(key, cached.spec);
+    cached.Fields(f);
   }
-}
+};
+
+struct QualityRow {  // snapshot.quality.csv
+  std::string key;
+  QualityEvent quality;
+  template <class F>
+  void Fields(F& f) {
+    f(key);
+    quality.Fields(f);
+  }
+};
+
+struct MetaRow {  // snapshot.meta.csv
+  std::string field;
+  std::int64_t value = 0;
+  template <class F>
+  void Fields(F& f) {
+    f(field, value);
+  }
+};
 
 }  // namespace
 
@@ -147,21 +172,8 @@ EstateService::~EstateService() = default;
 
 Status EstateService::ForEachShard(
     const std::function<Status(EstateShard*)>& fn) {
-  if (tick_pool_ == nullptr) return fn(shards_[0].get());
-  std::vector<std::future<Status>> pending;
-  pending.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    EstateShard* s = shard.get();
-    pending.push_back(tick_pool_->Submit([&fn, s] { return fn(s); }));
-  }
-  // Join everything before propagating: a failed shard must not leave
-  // siblings running against state the caller thinks is quiesced.
-  Status first = Status::OK();
-  for (auto& f : pending) {
-    Status st = f.get();
-    if (first.ok() && !st.ok()) first = st;
-  }
-  return first;
+  for (const Status& st : MapShards(fn)) CAPPLAN_RETURN_NOT_OK(st);
+  return Status::OK();
 }
 
 Status EstateService::Start() {
@@ -187,24 +199,18 @@ Status EstateService::Start() {
     }
     CAPPLAN_ASSIGN_OR_RETURN(journal_, EventJournal::Open(JournalPath()));
   }
-  now_ = cluster_->start_epoch();
-  cursor_ = now_;
   if (config_.warmup_days > 0) {
     const auto t0 = Clock::now();
+    const std::int64_t from = cluster_->start_epoch();
     const std::int64_t warmup_end =
-        now_ + static_cast<std::int64_t>(config_.warmup_days) * 86400;
-    const std::int64_t from = cursor_;
+        from + static_cast<std::int64_t>(config_.warmup_days) * 86400;
     CAPPLAN_RETURN_NOT_OK(ForEachShard([this, from, warmup_end](
                                            EstateShard* shard) {
       return IngestShard(shard, from, warmup_end);
     }));
-    cursor_ = warmup_end;
-    now_ = warmup_end;
     telemetry_.ingest_stage.Record(ElapsedMs(t0));
   }
-  for (const auto& key : keys_) {
-    ShardForKey(key).scheduler.ScheduleAt(key, now_);
-  }
+  CAPPLAN_RETURN_NOT_OK(LoadBaseline(/*from_snapshot=*/false));
   started_ = true;
   PublishView();
   return Status::OK();
@@ -238,7 +244,8 @@ Status EstateService::IngestShard(EstateShard* shard, std::int64_t from_epoch,
   return Status::OK();
 }
 
-void EstateService::CheckStalenessShard(EstateShard* shard) {
+void EstateService::CheckStalenessShard(EstateShard* shard,
+                                        std::int64_t now) {
   for (std::size_t id : shard->watch_ids) {
     const std::string& key = keys_[id];
     auto entry = shard->scheduler.Get(key);
@@ -258,17 +265,10 @@ void EstateService::CheckStalenessShard(EstateShard* shard) {
         double sum = 0.0;
         std::size_t count = 0;
         for (std::size_t j = begin; j < n; ++j) {
-          const std::int64_t t = hourly->TimestampAt(j);
-          if (t < fc.start_epoch || fc.step_seconds <= 0) continue;
-          const std::int64_t idx = (t - fc.start_epoch) / fc.step_seconds;
-          if (idx < 0 ||
-              idx >= static_cast<std::int64_t>(fc.forecast.mean.size())) {
-            continue;
-          }
+          const double* predicted = fc.MeanAt(hourly->TimestampAt(j));
           const double actual = (*hourly)[j];
-          if (std::isnan(actual)) continue;
-          const double err =
-              actual - fc.forecast.mean[static_cast<std::size_t>(idx)];
+          if (predicted == nullptr || std::isnan(actual)) continue;
+          const double err = actual - *predicted;
           sum += err * err;
           ++count;
         }
@@ -279,13 +279,13 @@ void EstateService::CheckStalenessShard(EstateShard* shard) {
     }
     // The age half of the policy is already encoded in the schedule (due =
     // fitted_at + max_age); this pulls the refit forward on degradation.
-    if (registry_.IsStale(key, now_, live_rmse)) {
-      shard->scheduler.PullForward(key, now_);
+    if (registry_.IsStale(key, now, live_rmse)) {
+      shard->scheduler.PullForward(key, now);
     }
   }
 }
 
-void EstateService::ScoreShard(EstateShard* shard) {
+void EstateService::ScoreShard(EstateShard* shard, std::int64_t now) {
   if (!config_.guardrail.enabled) return;
   obs::TraceSpan span("guardrail.score", "service");
   for (std::size_t id : shard->watch_ids) {
@@ -320,16 +320,11 @@ void EstateService::ScoreShard(EstateShard* shard) {
     for (std::size_t j = begin; j < n; ++j) {
       const std::int64_t t = hourly->TimestampAt(j);
       entry.last_scored_epoch = t;
-      if (t < fc.start_epoch) continue;
-      const std::int64_t idx = (t - fc.start_epoch) / fc.step_seconds;
-      if (idx < 0 ||
-          idx >= static_cast<std::int64_t>(fc.forecast.mean.size())) {
-        continue;
-      }
+      const double* predicted = fc.MeanAt(t);
       const double actual = (*hourly)[j];
-      if (std::isnan(actual)) continue;  // masked outage, not model error
-      const auto scored = entry.tracker.Score(
-          actual, fc.forecast.mean[static_cast<std::size_t>(idx)]);
+      // A NaN actual is a masked outage, not model error.
+      if (predicted == nullptr || std::isnan(actual)) continue;
+      const auto scored = entry.tracker.Score(actual, *predicted);
       ++shard->telemetry->guardrail_scored;
       // Feed the forecast-accuracy SLO: the scored point is good when its
       // APE stays within tolerance. Shard tracker drives this shard's
@@ -353,21 +348,21 @@ void EstateService::ScoreShard(EstateShard* shard) {
       // through the retry ladder. A key that is backing off, quarantined or
       // already in flight keeps its schedule (the detector auto-reset after
       // the alarm provides a natural min_samples cooldown either way).
-      const auto sched = shard->scheduler.Get(key);
-      if (sched.ok() && !sched->quarantined && !sched->in_flight &&
-          sched->consecutive_failures == 0 && sched->due_epoch > now_) {
-        shard->scheduler.PullForward(key, now_);
+      if (const auto sched = shard->scheduler.Get(key);
+          sched.ok() && sched->CanPullForwardTo(now)) {
+        shard->scheduler.PullForward(key, now);
         ++shard->telemetry->guardrail_early_refits;
       }
     }
   }
 }
 
-void EstateService::PrepareBatches(EstateShard* shard, ShardTickOutput* out) {
+void EstateService::PrepareBatches(EstateShard* shard, std::int64_t now,
+                                   ShardTickOutput* out) {
   // Newly due keys join the back of the shard's queue; they stay in_flight
   // in the scheduler until an outcome (or defer) lands, so a key is never
   // queued twice.
-  for (const auto& key : shard->scheduler.TakeDue(now_)) {
+  for (const auto& key : shard->scheduler.TakeDue(now)) {
     shard->refit_queue.push_back(key);
     ++shard->telemetry->queue_enqueued;
   }
@@ -387,7 +382,7 @@ void EstateService::PrepareBatches(EstateShard* shard, ShardTickOutput* out) {
     if (have < needed) {
       // Not enough history yet: come back when the gap has been ingested.
       shard->scheduler.Defer(
-          key, now_ + static_cast<std::int64_t>(needed - have) * 3600);
+          key, now + static_cast<std::int64_t>(needed - have) * 3600);
       ++telemetry_.refits_deferred;
       ++shard->telemetry->refits_deferred;
       continue;
@@ -396,7 +391,7 @@ void EstateService::PrepareBatches(EstateShard* shard, ShardTickOutput* out) {
         std::min<std::size_t>(config_.fit_window_hours, have);
     auto window = hourly->Slice(have - window_len, window_len);
     if (!window.ok()) {
-      shard->scheduler.Defer(key, now_ + 3600);
+      shard->scheduler.Defer(key, now + 3600);
       ++telemetry_.refits_deferred;
       ++shard->telemetry->refits_deferred;
       continue;
@@ -430,7 +425,7 @@ void EstateService::PrepareBatches(EstateShard* shard, ShardTickOutput* out) {
     item.key = key;
     item.window = std::move(*window);
     item.opts = std::move(opts);
-    item.fitted_at_epoch = now_;
+    item.fitted_at_epoch = now;
     items.push_back(std::move(item));
     ++telemetry_.refits_dispatched;
     ++shard->telemetry->refits_dispatched;
@@ -445,17 +440,18 @@ void EstateService::PrepareBatches(EstateShard* shard, ShardTickOutput* out) {
   }
 }
 
-EstateService::ShardTickOutput EstateService::TickShard(EstateShard* shard) {
+EstateService::ShardTickOutput EstateService::TickShard(EstateShard* shard,
+                                                        std::int64_t now) {
   obs::TraceSpan span("shard.tick", "service");
   const auto t0 = Clock::now();
   ShardTickOutput out;
   const auto t_ingest = Clock::now();
-  out.status = IngestShard(shard, cursor_, now_, &out.samples_ingested);
+  out.status = IngestShard(shard, cursor_, now, &out.samples_ingested);
   shard->telemetry->ingest_stage.Record(ElapsedMs(t_ingest));
   if (!out.status.ok()) return out;
-  CheckStalenessShard(shard);
-  ScoreShard(shard);
-  PrepareBatches(shard, &out);
+  CheckStalenessShard(shard, now);
+  ScoreShard(shard, now);
+  PrepareBatches(shard, now, &out);
   ++shard->telemetry->ticks;
   const double tick_ms = ElapsedMs(t0);
   shard->telemetry->tick_stage.Record(tick_ms);
@@ -486,8 +482,8 @@ EstateService::ShardTickOutput EstateService::TickShard(EstateShard* shard) {
   return out;
 }
 
-void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
-  if (report != nullptr) ++report->refit_batches;
+void EstateService::SubmitBatch(PreparedBatch batch, TickReport& report) {
+  ++report.refit_batches;
   EstateShard* shard = shards_[batch.shard].get();
   ++shard->telemetry->refit_batches;
   shard->telemetry->batch_series.Inc(batch.items.size());
@@ -512,7 +508,7 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
           obs::TraceSpan refit_span("service.refit", "service");
           FitOutcome out;
           out.key = item.key;
-          out.fitted_at_epoch = item.fitted_at_epoch;
+          out.model.fitted_at_epoch = item.fitted_at_epoch;
           out.span_id = refit_span.id();
           const auto t0 = Clock::now();
           // Sentinel pass: classify, repair what is safe, mask outages.
@@ -542,36 +538,38 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
             continue;
           }
           out.status = Status::OK();
-          out.technique = core::TechniqueName(rep->chosen_family);
-          out.spec = rep->chosen_spec;
-          out.test_rmse = rep->test_accuracy.rmse;
-          out.test_mape = rep->test_accuracy.mape;
-          out.ar_coef = std::move(rep->chosen_ar);
-          out.ma_coef = std::move(rep->chosen_ma);
+          repo::StoredModel& model = out.model;
+          model.technique = core::TechniqueName(rep->chosen_family);
+          model.spec = rep->chosen_spec;
+          model.test_rmse = rep->test_accuracy.rmse;
+          model.test_mape = rep->test_accuracy.mape;
+          model.ar_coef = std::move(rep->chosen_ar);
+          model.ma_coef = std::move(rep->chosen_ma);
           for (const auto& season : rep->seasons) {
-            out.periods.push_back(static_cast<double>(season.period));
+            model.periods.push_back(static_cast<double>(season.period));
           }
-          out.forecast = std::move(rep->forecast);
-          out.forecast_start_epoch = rep->forecast_start_epoch;
-          out.forecast_step_seconds =
-              tsa::FrequencySeconds(item.window.frequency());
-          out.degradation = rep->degradation;
+          CachedForecast& fc = out.forecast;
+          fc.forecast = std::move(rep->forecast);
+          fc.start_epoch = rep->forecast_start_epoch;
+          fc.step_seconds = tsa::FrequencySeconds(item.window.frequency());
+          fc.degradation = rep->degradation;
           if (out.quality_gated &&
-              out.degradation == core::DegradationLevel::kFull) {
-            out.degradation = core::DegradationLevel::kHesOnly;
+              fc.degradation == core::DegradationLevel::kFull) {
+            fc.degradation = core::DegradationLevel::kHesOnly;
           }
           // Chaos sites: a refit that "succeeds" with a ruined model. The
           // first ruins the held-out accuracy (what the promotion gate
           // sees); the second ruins the forecast itself while keeping the
           // reported accuracy clean — the live guardrail must catch it.
           if (FaultFires("pipeline.poison_fit")) {
-            out.test_rmse = 1e6;
-            out.test_mape = 1e6;
+            model.test_rmse = 1e6;
+            model.test_mape = 1e6;
           }
           if (FaultFires("pipeline.poison_forecast")) {
-            for (double& v : out.forecast.mean) v = v * 10.0 + 1e3;
-            for (double& v : out.forecast.lower) v = v * 10.0 + 1e3;
-            for (double& v : out.forecast.upper) v = v * 10.0 + 1e3;
+            for (auto* path : {&fc.forecast.mean, &fc.forecast.lower,
+                               &fc.forecast.upper}) {
+              for (double& v : *path) v = v * 10.0 + 1e3;
+            }
           }
           bo.outcomes.push_back(std::move(out));
         }
@@ -583,7 +581,8 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport* report) {
       }));
 }
 
-void EstateService::CollectFinished(bool block, TickReport* report) {
+void EstateService::CollectFinished(bool block, std::int64_t now,
+                                    TickReport& report) {
   for (auto it = in_flight_.begin(); it != in_flight_.end();) {
     const bool ready =
         block ||
@@ -594,7 +593,7 @@ void EstateService::CollectFinished(bool block, TickReport* report) {
     }
     BatchOutcome batch = it->get();
     for (const FitOutcome& outcome : batch.outcomes) {
-      ApplyOutcome(outcome, report);
+      CommitOutcome(outcome, now, report);
     }
     ShardTelemetry* st = shards_[batch.shard]->telemetry;
     st->fourier_hits.Inc(batch.fourier_hits);
@@ -604,317 +603,155 @@ void EstateService::CollectFinished(bool block, TickReport* report) {
   }
 }
 
-void EstateService::ApplyOutcome(const FitOutcome& outcome,
-                                 TickReport* report) {
+void EstateService::CommitOutcome(const FitOutcome& outcome, std::int64_t now,
+                                  TickReport& report) {
   const std::string& key = outcome.key;
-  RetrainScheduler& scheduler = ShardForKey(key).scheduler;
-  quality_[key] = outcome.quality;
+  EstateShard& shard = ShardForKey(key);
   if (outcome.quality_gated) ++telemetry_.quality_gated;
   // Every journal event from this outcome carries the worker's refit span
   // id, so a replayed failure can be located in the trace dump.
-  JournalEvent quality_event{now_,
-                             EventKind::kQuality,
-                             key,
-                             {FmtDouble(outcome.quality.score),
-                              outcome.quality.trainable ? "1" : "0",
-                              outcome.quality.verdict}};
-  quality_event.span_id = outcome.span_id;
-  JournalAppend(quality_event);
+  Commit({now, key, QualityEvent{outcome.quality}, outcome.span_id});
   // Flight recorder: one wide event per refit, sharing the worker's span id
   // with the journal events above (the /v1/debug <-> journal correlation
   // contract) and feeding the fit-stage histogram's exemplar slot so a
   // latency outlier links straight back to this record.
-  std::uint64_t refit_event_id = 0;
-  obs::EventLog& events = obs::EventLog::Instance();
-  if (events.enabled()) {
-    obs::WideEvent ev;
-    ev.kind = obs::WideEventKind::kRefit;
-    ev.set_key(key);
-    ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
-    ev.span_id = outcome.span_id;
-    ev.journal_seq = journal_seq_;
-    ev.dur_ns = static_cast<std::uint64_t>(outcome.wall_ms * 1e6);
-    ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
-    ev.outcome = outcome.status.ok() ? "ok" : "error";
-    ev.AddAttr("test_mape", outcome.test_mape);
-    ev.AddAttr("degradation",
-               static_cast<double>(static_cast<int>(outcome.degradation)));
-    ev.AddAttr("quality_score", outcome.quality.score);
-    refit_event_id = events.Emit(ev);
-    if (outcome.quality.short_gaps_filled > 0 ||
-        outcome.quality.long_outages > 0 ||
-        outcome.quality.masked_leading > 0) {
-      // The sentinel altered the fit window — record what it did.
-      obs::WideEvent repair;
-      repair.kind = obs::WideEventKind::kQualityRepair;
-      repair.set_key(key);
-      repair.shard = ev.shard;
-      repair.span_id = outcome.span_id;
-      repair.journal_seq = journal_seq_;
-      repair.outcome = outcome.quality.trainable ? "ok" : "gated";
-      repair.AddAttr("score", outcome.quality.score);
-      repair.AddAttr("gaps_filled",
-                     static_cast<double>(outcome.quality.short_gaps_filled));
-      repair.AddAttr("long_outages",
-                     static_cast<double>(outcome.quality.long_outages));
-      repair.AddAttr("masked_leading",
-                     static_cast<double>(outcome.quality.masked_leading));
-      events.Emit(repair);
-    }
+  const quality::QualityReport& q = outcome.quality;
+  const std::uint64_t refit_event_id = EmitEvent(
+      obs::WideEventKind::kRefit, key, outcome.span_id,
+      outcome.status.ok() ? "ok" : "error",
+      {{"test_mape", outcome.model.test_mape},
+       {"degradation", static_cast<int>(outcome.forecast.degradation)},
+       {"quality_score", q.score}},
+      outcome.wall_ms);
+  if (refit_event_id != 0 &&
+      (q.short_gaps_filled > 0 || q.long_outages > 0 || q.masked_leading > 0)) {
+    // The sentinel altered the fit window — record what it did.
+    EmitEvent(obs::WideEventKind::kQualityRepair, key, outcome.span_id,
+              q.trainable ? "ok" : "gated",
+              {{"score", q.score},
+               {"gaps_filled", static_cast<double>(q.short_gaps_filled)},
+               {"long_outages", static_cast<double>(q.long_outages)},
+               {"masked_leading", static_cast<double>(q.masked_leading)}});
   }
   telemetry_.fit_stage.RecordWithExemplar(outcome.wall_ms, outcome.span_id,
                                           refit_event_id);
-  if (outcome.status.ok()) {
-    // The finished fit is a *challenger*. The current champion's live
-    // rolling MAPE (percent) is the accuracy bar; with enough scored
-    // evidence, a challenger whose held-out MAPE regresses past tolerance
-    // is rejected and the champion keeps serving.
-    EstateShard& shard = ShardForKey(key);
-    const std::int64_t next_due =
-        outcome.fitted_at_epoch + config_.staleness.max_age_seconds;
-    double champion_live_pct = -1.0;
-    std::size_t champion_scored = 0;
-    if (const auto g = shard.guardrail.find(key); g != shard.guardrail.end()) {
-      const double frac = g->second.tracker.live_mape();
-      if (frac >= 0.0) champion_live_pct = frac * 100.0;
-      champion_scored = g->second.tracker.window_size();
-    }
-    const bool has_champion = registry_.Contains(key);
-    if (config_.guardrail.enabled && has_champion &&
-        champion_live_pct >= 0.0 &&
-        champion_scored >= config_.guardrail.promotion_min_scored) {
-      const double reference = std::max(
-          champion_live_pct, config_.guardrail.reference_mape_floor_pct);
-      if (outcome.test_mape >
-          config_.guardrail.promotion_tolerance_ratio * reference) {
-        // Gate says no: the champion (model, forecast, tracker baseline)
-        // stays exactly as it is. The refit still *completed* — it counts
-        // as succeeded and reschedules normally — only the install is
-        // refused.
-        scheduler.OnSuccess(key, next_due);
-        ++telemetry_.refits_succeeded;
-        ++telemetry_.promotions_rejected;
-        if (report != nullptr) {
-          ++report->refits_completed;
-          ++report->promotions_rejected;
-        }
-        JournalEvent reject_event{now_,
-                                  EventKind::kPromotion,
-                                  key,
-                                  {"reject", outcome.technique, outcome.spec,
-                                   FmtDouble(outcome.test_mape),
-                                   FmtDouble(champion_live_pct),
-                                   std::to_string(next_due)}};
-        reject_event.span_id = outcome.span_id;
-        JournalAppend(reject_event);
-        if (events.enabled()) {
-          obs::WideEvent ev;
-          ev.kind = obs::WideEventKind::kPromotion;
-          ev.set_key(key);
-          ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
-          ev.span_id = outcome.span_id;
-          ev.journal_seq = journal_seq_;
-          ev.start_ns = events.NowNs();
-          ev.outcome = "rejected";
-          ev.AddAttr("challenger_mape", outcome.test_mape);
-          ev.AddAttr("champion_live_mape", champion_live_pct);
-          events.Emit(ev);
-        }
-        return;
-      }
-    }
-    repo::StoredModel model;
-    model.key = key;
-    model.technique = outcome.technique;
-    model.spec = outcome.spec;
-    model.test_rmse = outcome.test_rmse;
-    model.test_mape = outcome.test_mape;
-    model.fitted_at_epoch = outcome.fitted_at_epoch;
-    model.ar_coef = outcome.ar_coef;
-    model.ma_coef = outcome.ma_coef;
-    model.periods = outcome.periods;
-    model.promoted_at_epoch = now_;
-    if (has_champion) {
-      // Stamp the demoted champion with its final live accuracy (the bar a
-      // rollback compares against) and keep its forecast as the rollback
-      // target, paired with the registry's lineage slot.
-      if (champion_live_pct >= 0.0) {
-        registry_.UpdateLiveMape(key, champion_live_pct);
-      }
-      if (const auto fc = forecasts_.find(key); fc != forecasts_.end()) {
-        previous_forecasts_[key] = fc->second;
-      }
-    }
-    registry_.Promote(model);
-    int generation = 0;
-    if (const auto promoted = registry_.Get(key); promoted.ok()) {
-      generation = promoted->generation;
-    }
-    ++telemetry_.promotions;
-    if (const auto g = shard.guardrail.find(key); g != shard.guardrail.end()) {
-      // The new champion is judged only on its own errors.
-      g->second.tracker.ResetBaseline();
-    }
-    CachedForecast cached;
-    cached.forecast = outcome.forecast;
-    cached.start_epoch = outcome.forecast_start_epoch;
-    cached.step_seconds = outcome.forecast_step_seconds;
-    cached.spec = outcome.technique + " " + outcome.spec;
-    cached.degradation = outcome.degradation;
-    forecasts_[key] = std::move(cached);
-    scheduler.OnSuccess(key, next_due);
-    ++telemetry_.refits_succeeded;
-    if (outcome.degradation != core::DegradationLevel::kFull) {
-      ++telemetry_.refits_degraded;
-      if (report != nullptr) ++report->refits_degraded;
-    }
-    if (report != nullptr) ++report->refits_completed;
-    JournalEvent fit_event{
-        now_,
-        EventKind::kFitOk,
-        key,
-        {outcome.technique, outcome.spec, FmtDouble(outcome.test_rmse),
-         FmtDouble(outcome.test_mape),
-         std::to_string(outcome.fitted_at_epoch),
-         std::to_string(outcome.forecast_start_epoch),
-         std::to_string(outcome.forecast_step_seconds),
-         FmtDouble(outcome.forecast.level),
-         JoinDoubles(outcome.forecast.mean),
-         JoinDoubles(outcome.forecast.lower),
-         JoinDoubles(outcome.forecast.upper),
-         std::to_string(static_cast<int>(outcome.degradation)),
-         FmtDouble(outcome.quality.score), std::to_string(generation),
-         std::to_string(now_)}};
-    fit_event.span_id = outcome.span_id;
-    JournalAppend(fit_event);
-    if (events.enabled()) {
-      obs::WideEvent ev;
-      ev.kind = obs::WideEventKind::kPromotion;
-      ev.set_key(key);
-      ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
-      ev.span_id = outcome.span_id;
-      ev.journal_seq = journal_seq_;
-      ev.start_ns = events.NowNs();
-      ev.outcome = "promoted";
-      ev.AddAttr("generation", static_cast<double>(generation));
-      ev.AddAttr("test_mape", outcome.test_mape);
-      events.Emit(ev);
-    }
-  } else {
-    const bool quarantined = scheduler.OnFailure(key, now_);
+  if (!outcome.status.ok()) {
+    // The retry ladder's verdict: back off, or quarantine.
+    const ScheduleEntry failed = shard.scheduler.AfterFailure(key, now);
     ++telemetry_.refits_failed;
-    if (report != nullptr) ++report->refits_failed;
-    auto entry = scheduler.Get(key);
-    const int failures = entry.ok() ? entry->consecutive_failures : 0;
-    const std::int64_t next_due =
-        quarantined ? -1 : (entry.ok() ? entry->due_epoch : -1);
-    JournalEvent fail_event{now_,
-                            EventKind::kFitFail,
-                            key,
-                            {std::to_string(failures),
-                             std::to_string(next_due),
-                             outcome.status.ToString()}};
-    fail_event.span_id = outcome.span_id;
-    JournalAppend(fail_event);
-    if (quarantined) {
+    ++report.refits_failed;
+    Commit({now, key,
+            FitFailEvent{failed.consecutive_failures,
+                         failed.quarantined ? -1 : failed.due_epoch,
+                         outcome.status.ToString()},
+            outcome.span_id});
+    if (failed.quarantined) {
       ++telemetry_.quarantines;
-      JournalEvent quarantine_event{now_, EventKind::kQuarantine, key, {}};
-      quarantine_event.span_id = outcome.span_id;
-      JournalAppend(quarantine_event);
+      Commit({now, key, QuarantineEvent{}, outcome.span_id});
+    }
+    return;
+  }
+  // The finished fit is a *challenger*. The current champion's live
+  // rolling MAPE (percent) is the accuracy bar; with enough scored
+  // evidence, a challenger whose held-out MAPE regresses past tolerance
+  // is rejected and the champion keeps serving. Either way the refit
+  // completed.
+  ++telemetry_.refits_succeeded;
+  ++report.refits_completed;
+  const std::int64_t next_due =
+      outcome.model.fitted_at_epoch + config_.staleness.max_age_seconds;
+  const auto g = shard.guardrail.find(key);
+  quality::LiveAccuracyTracker* tracker =
+      g == shard.guardrail.end() ? nullptr : &g->second.tracker;
+  double champion_live_pct = -1.0;
+  std::size_t champion_scored = 0;
+  if (tracker != nullptr) {
+    if (tracker->live_mape() >= 0.0) {
+      champion_live_pct = tracker->live_mape() * 100.0;
+    }
+    champion_scored = tracker->window_size();
+  }
+  const auto champion = registry_.Get(key);
+  if (config_.guardrail.enabled && champion.ok() && champion_live_pct >= 0.0 &&
+      champion_scored >= config_.guardrail.promotion_min_scored) {
+    const double reference = std::max(
+        champion_live_pct, config_.guardrail.reference_mape_floor_pct);
+    if (outcome.model.test_mape >
+        config_.guardrail.promotion_tolerance_ratio * reference) {
+      // Gate says no: the champion (model, forecast, tracker baseline)
+      // stays exactly as it is and the key reschedules normally — only the
+      // install is refused.
+      ++telemetry_.promotions_rejected;
+      ++report.promotions_rejected;
+      Commit({now, key,
+              PromotionEvent{"reject", outcome.model.technique,
+                             outcome.model.spec, outcome.model.test_mape,
+                             champion_live_pct, next_due},
+              outcome.span_id});
+      EmitEvent(obs::WideEventKind::kPromotion, key, outcome.span_id,
+                "rejected",
+                {{"challenger_mape", outcome.model.test_mape},
+                 {"champion_live_mape", champion_live_pct}});
+      return;
     }
   }
+  // The demoted champion's final live accuracy is the bar a rollback to it
+  // compares against.
+  FitOkEvent fit{outcome.model, outcome.forecast, q.score,
+                 champion.ok() ? champion_live_pct : -1.0};
+  fit.model.generation = champion.ok() ? champion->generation + 1 : 1;
+  fit.model.promoted_at_epoch = now;
+  const int generation = fit.model.generation;
+  Commit({now, key, std::move(fit), outcome.span_id});
+  ++telemetry_.promotions;
+  // The new champion is judged only on its own errors.
+  if (tracker != nullptr) tracker->ResetBaseline();
+  if (outcome.forecast.degradation != core::DegradationLevel::kFull) {
+    ++telemetry_.refits_degraded;
+    ++report.refits_degraded;
+  }
+  EmitEvent(obs::WideEventKind::kPromotion, key, outcome.span_id, "promoted",
+            {{"generation", generation},
+             {"test_mape", outcome.model.test_mape}});
 }
 
-void EstateService::EvaluateAlerts(TickReport* report) {
+void EstateService::EvaluateAlerts(std::int64_t now, TickReport& report) {
   obs::TraceSpan span("service.alerts", "service");
   const auto t0 = Clock::now();
-  struct Transition {
-    std::string key;
-    bool raise = false;
-    ServiceAlert alert;
-  };
-  std::vector<Transition> transitions;
+  std::vector<Event> transitions;
   for (const auto& key : keys_) {
     auto it = forecasts_.find(key);
     if (it == forecasts_.end()) continue;
-    const CachedForecast& fc = it->second;
-    const std::int64_t fc_end =
-        fc.start_epoch +
-        static_cast<std::int64_t>(fc.forecast.mean.size()) * fc.step_seconds;
-    if (now_ >= fc_end || fc.step_seconds <= 0) {
+    const BreachScan scan = ScanForBreach(
+        it->second, watches_[watch_index_.at(key)].threshold, now);
+    if (!scan.covers) {
       ++telemetry_.forecast_exhausted_ticks;
       continue;
     }
     ++telemetry_.forecast_cache_hits;
-    const double threshold = watches_[watch_index_.at(key)].threshold;
-    // First forecast step at or after the current clock.
-    std::int64_t first = (now_ - fc.start_epoch) / fc.step_seconds;
-    if ((now_ - fc.start_epoch) % fc.step_seconds != 0) ++first;
-    if (first < 0) first = 0;
-    bool mean_breach = false;
-    bool upper_breach = false;
-    std::int64_t breach_epoch = 0;
-    for (std::size_t i = static_cast<std::size_t>(first);
-         i < fc.forecast.mean.size(); ++i) {
-      if (fc.forecast.mean[i] > threshold) {
-        mean_breach = true;
-        breach_epoch =
-            fc.start_epoch + static_cast<std::int64_t>(i) * fc.step_seconds;
-        break;
-      }
-    }
-    if (!mean_breach) {
-      for (std::size_t i = static_cast<std::size_t>(first);
-           i < fc.forecast.upper.size(); ++i) {
-        if (fc.forecast.upper[i] > threshold) {
-          upper_breach = true;
-          breach_epoch =
-              fc.start_epoch + static_cast<std::int64_t>(i) * fc.step_seconds;
-          break;
-        }
-      }
-    }
-    const bool breach = mean_breach || upper_breach;
-    auto active = alerts_.find(key);
-    if (breach && active == alerts_.end()) {
-      ServiceAlert alert;
-      alert.key = key;
-      alert.upper_only = !mean_breach;
-      alert.predicted_breach_epoch = breach_epoch;
-      alert.raised_at_epoch = now_;
-      transitions.push_back({key, true, alert});
-    } else if (!breach && active != alerts_.end()) {
-      transitions.push_back({key, false, {}});
-    } else if (breach && active != alerts_.end()) {
-      // Refresh the prognosis silently; no new journal event.
-      active->second.upper_only = !mean_breach;
-      active->second.predicted_breach_epoch = breach_epoch;
+    // Only transitions are events; an active alert's prognosis follows the
+    // forecast when the tick is applied.
+    const bool active = alerts_.count(key) > 0;
+    if (scan.breach && !active) {
+      transitions.push_back(
+          {now, key, AlertEvent{scan.upper_only, scan.epoch}});
+    } else if (!scan.breach && active) {
+      transitions.push_back({now, key, AlertClearEvent{}});
     }
   }
   telemetry_.forecast_stage.Record(ElapsedMs(t0));
 
   const auto t1 = Clock::now();
-  for (const auto& tr : transitions) {
-    if (tr.raise) {
-      alerts_[tr.key] = tr.alert;
-      ++telemetry_.alerts_raised;
-      if (report != nullptr) ++report->alerts_raised;
-      JournalAppend({now_,
-                     EventKind::kAlert,
-                     tr.key,
-                     {tr.alert.upper_only ? "upper" : "mean",
-                      std::to_string(tr.alert.predicted_breach_epoch)}});
-    } else {
-      alerts_.erase(tr.key);
-      ++telemetry_.alerts_cleared;
-      if (report != nullptr) ++report->alerts_cleared;
-      JournalAppend({now_, EventKind::kAlertClear, tr.key, {}});
-    }
+  for (Event& tr : transitions) {
+    const bool raise = tr.kind() == EventKind::kAlert;
+    Commit(std::move(tr));
+    ++(raise ? telemetry_.alerts_raised : telemetry_.alerts_cleared);
+    ++(raise ? report.alerts_raised : report.alerts_cleared);
   }
   telemetry_.alert_stage.Record(ElapsedMs(t1));
 }
 
-void EstateService::EvaluateGuardrails(TickReport* report) {
+void EstateService::EvaluateGuardrails(std::int64_t now, TickReport& report) {
   if (!config_.guardrail.enabled) return;
   for (auto& shard_ptr : shards_) {
     EstateShard& shard = *shard_ptr;
@@ -948,62 +785,50 @@ void EstateService::EvaluateGuardrails(TickReport* report) {
         continue;
       }
       obs::TraceSpan span("guardrail.rollback", "service");
-      const auto restored = registry_.Rollback(key);
-      if (!restored.ok()) continue;
-      const CachedForecast fc = pf->second;
-      previous_forecasts_.erase(pf);
-      forecasts_[key] = fc;  // byte-equal restore of the old champion's view
+      RollbackEvent rollback{*prev, pf->second, -1};
+      // The restored champion is old by definition — refit it soon, but
+      // through the same backoff-respecting gate as a drift alarm; a key
+      // that is backing off, quarantined or in flight keeps its due time.
+      if (const auto sched = shard.scheduler.Get(key); sched.ok()) {
+        rollback.next_due =
+            sched->CanPullForwardTo(now) ? now : sched->due_epoch;
+      }
+      const int generation = rollback.model.generation;
+      Commit({now, key, std::move(rollback)});
       entry.tracker.ResetBaseline();
       ++telemetry_.rollbacks;
       ++shard.rollbacks;
-      if (report != nullptr) ++report->rollbacks;
-      // The restored champion is old by definition — refit it soon, but
-      // through the same backoff-respecting gate as a drift alarm.
-      if (const auto sched = shard.scheduler.Get(key);
-          sched.ok() && !sched->quarantined && !sched->in_flight &&
-          sched->consecutive_failures == 0 && sched->due_epoch > now_) {
-        shard.scheduler.PullForward(key, now_);
-      }
-      std::int64_t next_due = -1;
-      if (const auto sched = shard.scheduler.Get(key); sched.ok()) {
-        next_due = sched->due_epoch;
-      }
-      JournalAppend(
-          {now_,
-           EventKind::kRollback,
-           key,
-           {restored->technique, restored->spec,
-            FmtDouble(restored->test_rmse), FmtDouble(restored->test_mape),
-            std::to_string(restored->fitted_at_epoch),
-            std::to_string(restored->generation),
-            std::to_string(restored->promoted_at_epoch),
-            FmtDouble(restored->live_mape), JoinDoubles(restored->ar_coef),
-            JoinDoubles(restored->ma_coef), std::to_string(fc.start_epoch),
-            std::to_string(fc.step_seconds), FmtDouble(fc.forecast.level),
-            JoinDoubles(fc.forecast.mean), JoinDoubles(fc.forecast.lower),
-            JoinDoubles(fc.forecast.upper),
-            std::to_string(static_cast<int>(fc.degradation)),
-            std::to_string(next_due)}});
-      obs::EventLog& events = obs::EventLog::Instance();
-      if (events.enabled()) {
-        obs::WideEvent ev;
-        ev.kind = obs::WideEventKind::kRollback;
-        ev.set_key(key);
-        ev.shard = static_cast<std::int32_t>(shard.id);
-        ev.span_id = span.id();
-        ev.journal_seq = journal_seq_;
-        ev.start_ns = events.NowNs();
-        ev.outcome = "rolled_back";
-        ev.AddAttr("live_mape", live_pct);
-        ev.AddAttr("reference_mape", reference);
-        ev.AddAttr("generation", static_cast<double>(restored->generation));
-        events.Emit(ev);
-      }
+      ++report.rollbacks;
+      EmitEvent(obs::WideEventKind::kRollback, key, span.id(), "rolled_back",
+                {{"live_mape", live_pct},
+                 {"reference_mape", reference},
+                 {"generation", generation}});
     }
     shard.telemetry->guardrail_live_mape.Set(std::max(0.0, worst_mape));
     shard.telemetry->guardrail_ph_statistic.Set(worst_stat);
     shard.telemetry->guardrail_ph_samples.Set(most_samples);
   }
+}
+
+std::uint64_t EstateService::EmitEvent(
+    obs::WideEventKind kind, const std::string& key, std::uint64_t span_id,
+    const char* outcome,
+    std::initializer_list<std::pair<const char*, double>> attrs,
+    double dur_ms) {
+  obs::EventLog& events = obs::EventLog::Instance();
+  if (!events.enabled()) return 0;
+  obs::WideEvent ev;
+  ev.kind = kind;
+  ev.set_key(key);
+  ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
+  ev.span_id = span_id;
+  ev.journal_seq = journal_seq_;
+  ev.dur_ns = static_cast<std::uint64_t>(dur_ms * 1e6);
+  const std::uint64_t now_ns = events.NowNs();
+  ev.start_ns = now_ns > ev.dur_ns ? now_ns - ev.dur_ns : 0;
+  ev.outcome = outcome;
+  for (const auto& [name, value] : attrs) ev.AddAttr(name, value);
+  return events.Emit(ev);
 }
 
 void EstateService::EvaluateHealth() {
@@ -1138,53 +963,43 @@ Result<TickReport> EstateService::Tick() {
     return Status::FailedPrecondition("service: not started");
   }
   TickReport report;
-  now_ += config_.tick_seconds;
-  report.now_epoch = now_;
+  const std::int64_t now = now_ + (1 + failed_ticks_) * config_.tick_seconds;
+  report.now_epoch = now;
 
   // Per-shard phase: ingest, staleness, due-taking and batch preparation
   // run as one job per shard (inline when unsharded). Shard state is only
   // ever touched by its own job; the driver joins every job before reading
   // the outputs, so nothing below races.
   const auto t0 = Clock::now();
-  std::vector<ShardTickOutput> outputs(shards_.size());
-  if (tick_pool_ == nullptr) {
-    outputs[0] = TickShard(shards_[0].get());
-  } else {
-    std::vector<std::future<ShardTickOutput>> pending;
-    pending.reserve(shards_.size());
-    for (auto& shard : shards_) {
-      EstateShard* s = shard.get();
-      pending.push_back(tick_pool_->Submit([this, s] { return TickShard(s); }));
-    }
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      outputs[i] = pending[i].get();
-    }
-  }
+  std::vector<ShardTickOutput> outputs = MapShards(
+      [this, now](EstateShard* shard) { return TickShard(shard, now); });
   telemetry_.ingest_stage.Record(ElapsedMs(t0));
-  // The cursor only advances once every shard ingested its slice: a failed
-  // tick leaves the window un-consumed, so the next tick backfills it and
-  // no sample is lost.
+  // The clock and cursor only advance once every shard ingested its slice
+  // (the tick event below): a failed tick leaves the window un-consumed, so
+  // the next tick backfills it and no sample is lost.
   for (const ShardTickOutput& out : outputs) {
-    CAPPLAN_RETURN_NOT_OK(out.status);
+    if (!out.status.ok()) {
+      ++failed_ticks_;
+      return out.status;
+    }
   }
-  cursor_ = now_;
+  failed_ticks_ = 0;
   for (ShardTickOutput& out : outputs) {
     report.samples_ingested += out.samples_ingested;
     report.refits_dispatched += out.refits_dispatched;
     for (PreparedBatch& batch : out.batches) {
-      SubmitBatch(std::move(batch), &report);
+      SubmitBatch(std::move(batch), report);
     }
   }
 
-  CollectFinished(/*block=*/false, &report);
-  EvaluateGuardrails(&report);
-  EvaluateAlerts(&report);
+  CollectFinished(/*block=*/false, now, report);
+  EvaluateGuardrails(now, report);
+  EvaluateAlerts(now, report);
 
   // Durability failures do not stop the clock: a tick that cannot be
   // journalled or snapshotted is still a served tick, counted as an
-  // absorbed I/O error (JournalAppend counts its own failures).
-  (void)JournalAppend({now_, EventKind::kTick, "", {}});
-  ++ticks_;
+  // absorbed I/O error (Commit counts its own failures).
+  (void)Commit({now, "", TickEvent{}});
   ++telemetry_.ticks;
   if (config_.snapshot_every_ticks > 0 && !config_.state_dir.empty() &&
       ticks_ % static_cast<std::uint64_t>(config_.snapshot_every_ticks) ==
@@ -1213,7 +1028,8 @@ Status EstateService::DrainRefits() {
   if (!started_) {
     return Status::FailedPrecondition("service: not started");
   }
-  CollectFinished(/*block=*/true, nullptr);
+  TickReport drained;  // counted in telemetry, reported by no tick
+  CollectFinished(/*block=*/true, now_, drained);
   PublishView();
   return Status::OK();
 }
@@ -1235,8 +1051,11 @@ Status EstateService::Checkpoint() {
 }
 
 Status EstateService::ReleaseQuarantine(const std::string& key) {
-  CAPPLAN_RETURN_NOT_OK(ShardForKey(key).scheduler.Release(key, now_));
-  return JournalAppend({now_, EventKind::kRelease, key, {}});
+  if (!IsQuarantined(key)) {
+    return Status::FailedPrecondition("service: " + key +
+                                      " is not quarantined");
+  }
+  return Commit({now_, key, ReleaseEvent{}});
 }
 
 core::DegradationLevel EstateService::ForecastDegradation(
@@ -1330,23 +1149,6 @@ Status EstateService::DumpTrace(const std::string& path) const {
   return obs::WriteChromeTraceFile(obs::Tracer::Instance().Drain(), path);
 }
 
-Status EstateService::JournalAppend(JournalEvent event) {
-  if (!journal_.is_open()) return Status::OK();  // ephemeral service
-  if (event.span_id == 0) event.span_id = obs::CurrentSpanId();
-  Status st = journal_.Append(event);
-  if (!st.ok()) {
-    // Availability beats durability: callers keep serving with a degraded
-    // journal, and the counters make the durability gap visible. Recovery
-    // from such a journal is still consistent — it just replays less.
-    ++telemetry_.journal_write_failures;
-    ++telemetry_.io_errors;
-    return st;
-  }
-  ++telemetry_.journal_events;
-  ++journal_seq_;
-  return Status::OK();
-}
-
 Status EstateService::WriteSnapshot() {
   obs::TraceSpan span("service.snapshot", "service");
   const std::string& dir = config_.state_dir;
@@ -1355,46 +1157,32 @@ Status EstateService::WriteSnapshot() {
   // One merged schedule CSV for the whole estate (same format as the
   // unsharded service ever wrote); rows route back to their shard by key
   // hash on recovery.
-  std::vector<ScheduleEntry> schedule;
-  for (const auto& shard : shards_) {
-    auto e = shard->scheduler.Entries();
-    schedule.insert(schedule.end(), std::make_move_iterator(e.begin()),
-                    std::make_move_iterator(e.end()));
-  }
   CAPPLAN_RETURN_NOT_OK(RetrainScheduler::SaveEntries(
-      dir + "/snapshot.schedule.csv", std::move(schedule)));
+      dir + "/snapshot.schedule.csv", ScheduleEntries()));
 
-  repo::CsvTable forecasts;
-  forecasts.header = {"key",   "spec",  "start_epoch", "step_seconds",
-                      "level", "mean",  "lower",       "upper",
-                      "degradation"};
-  for (const auto& [key, fc] : forecasts_) {
-    forecasts.rows.push_back(
-        {key, fc.spec, std::to_string(fc.start_epoch),
-         std::to_string(fc.step_seconds), FmtDouble(fc.forecast.level),
-         JoinDoubles(fc.forecast.mean), JoinDoubles(fc.forecast.lower),
-         JoinDoubles(fc.forecast.upper),
-         std::to_string(static_cast<int>(fc.degradation))});
-  }
-  CAPPLAN_RETURN_NOT_OK(
-      repo::WriteCsv(dir + "/snapshot.forecasts.csv", forecasts));
-
-  repo::CsvTable alerts;
-  alerts.header = {"key", "upper_only", "predicted_breach_epoch",
-                   "raised_at_epoch"};
-  for (const auto& [key, a] : alerts_) {
-    alerts.rows.push_back({key, a.upper_only ? "1" : "0",
-                           std::to_string(a.predicted_breach_epoch),
-                           std::to_string(a.raised_at_epoch)});
-  }
-  CAPPLAN_RETURN_NOT_OK(repo::WriteCsv(dir + "/snapshot.alerts.csv", alerts));
-
-  repo::CsvTable meta;
-  meta.header = {"field", "value"};
-  meta.rows.push_back({"now_epoch", std::to_string(now_)});
-  meta.rows.push_back({"cursor_epoch", std::to_string(cursor_)});
-  meta.rows.push_back({"ticks", std::to_string(ticks_)});
-  CAPPLAN_RETURN_NOT_OK(repo::WriteCsv(dir + "/snapshot.meta.csv", meta));
+  std::vector<ForecastRow> forecasts;
+  for (const auto& [key, fc] : forecasts_) forecasts.push_back({key, fc});
+  CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
+      dir + "/snapshot.forecasts.csv",
+      {"key", "spec", "start_epoch", "step_seconds", "level", "mean", "lower",
+       "upper", "degradation"},
+      forecasts));
+  std::vector<ServiceAlert> alerts;
+  for (const auto& [key, a] : alerts_) alerts.push_back(a);
+  CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
+      dir + "/snapshot.alerts.csv",
+      {"key", "upper_only", "predicted_breach_epoch", "raised_at_epoch"},
+      alerts));
+  std::vector<QualityRow> quality;
+  for (const auto& [key, q] : quality_) quality.push_back({key, {q}});
+  CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
+      dir + "/snapshot.quality.csv", {"key", "score", "trainable", "verdict"},
+      quality));
+  CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
+      dir + "/snapshot.meta.csv", {"field", "value"},
+      std::vector<MetaRow>{{"now_epoch", now_},
+                           {"cursor_epoch", cursor_},
+                           {"ticks", static_cast<std::int64_t>(ticks_)}}));
 
   // The metric history itself, as compressed segments (store/segment.h) —
   // what Recover restarts from instead of re-polling the whole estate. Each
@@ -1412,243 +1200,201 @@ Status EstateService::WriteSnapshot() {
     CAPPLAN_RETURN_NOT_OK(shard->metrics.SaveSegments(shard_dir));
   }
 
-  CAPPLAN_RETURN_NOT_OK(JournalAppend({now_, EventKind::kSnapshot, "", {}}));
+  CAPPLAN_RETURN_NOT_OK(Commit({now_, "", SnapshotEvent{}}));
   ++telemetry_.snapshots_written;
   return Status::OK();
 }
 
-Status EstateService::ReplayEvent(const JournalEvent& event) {
-  switch (event.kind) {
-    case EventKind::kTick:
+Status EstateService::Commit(Event event) {
+  Status st = Status::OK();
+  if (journal_.is_open()) {  // an ephemeral service journals nothing
+    if (event.span_id == 0) event.span_id = obs::CurrentSpanId();
+    st = journal_.Append(event.Encode());
+    if (st.ok()) {
+      ++telemetry_.journal_events;
+      ++journal_seq_;
+    } else {
+      // Availability beats durability: callers keep serving with a
+      // degraded journal, and the counters make the durability gap
+      // visible. Recovery from such a journal is still consistent — it
+      // just replays less.
+      ++telemetry_.journal_write_failures;
+      ++telemetry_.io_errors;
+    }
+  }
+  Apply(event);
+  return st;
+}
+
+void EstateService::Apply(const Event& event) {
+  const std::string& key = event.key;
+  switch (event.kind()) {
+    case EventKind::kTick: {
       now_ = event.epoch;
       cursor_ = event.epoch;
       ++ticks_;
-      return Status::OK();
+      // A prognosis still ahead of the clock stands: no step between the
+      // scan that found it and the breach crosses (a new forecast rescans).
+      for (auto& [_, alert] : alerts_) {
+        if (alert.predicted_breach_epoch < now_) RefreshPrognosis(&alert);
+      }
+      return;
+    }
     case EventKind::kFitOk: {
-      // 11 fields = the pre-ladder layout (tolerated so existing journals
-      // keep replaying, as kFull); 13 adds degradation level + quality
-      // score; 15 adds champion lineage (generation, promoted_at).
-      if (event.fields.size() != 11 && event.fields.size() != 13 &&
-          event.fields.size() != 15) {
-        return Status::IoError("service: malformed fit_ok event");
-      }
-      repo::StoredModel model;
-      model.key = event.key;
-      model.technique = event.fields[0];
-      model.spec = event.fields[1];
-      try {
-        model.test_rmse = std::stod(event.fields[2]);
-        model.test_mape = std::stod(event.fields[3]);
-      } catch (...) {
-        return Status::IoError("service: bad accuracy in fit_ok event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(model.fitted_at_epoch,
-                               ParseInt64(event.fields[4]));
-      CachedForecast cached;
-      CAPPLAN_ASSIGN_OR_RETURN(cached.start_epoch,
-                               ParseInt64(event.fields[5]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.step_seconds,
-                               ParseInt64(event.fields[6]));
-      try {
-        cached.forecast.level = std::stod(event.fields[7]);
-      } catch (...) {
-        return Status::IoError("service: bad level in fit_ok event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.mean,
-                               ParseDoubles(event.fields[8]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.lower,
-                               ParseDoubles(event.fields[9]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.upper,
-                               ParseDoubles(event.fields[10]));
-      if (event.fields.size() >= 13) {
-        CAPPLAN_ASSIGN_OR_RETURN(std::int64_t level,
-                                 ParseInt64(event.fields[11]));
-        if (level < 0 ||
-            level > static_cast<int>(core::DegradationLevel::kBaseline)) {
-          return Status::IoError("service: bad degradation in fit_ok event");
-        }
-        cached.degradation =
-            static_cast<core::DegradationLevel>(static_cast<int>(level));
-      }
+      const auto& fit = std::get<FitOkEvent>(event.payload);
+      repo::StoredModel model = fit.model;
+      model.key = key;
+      CachedForecast cached = fit.forecast;
       cached.spec = model.technique + " " + model.spec;
-      if (event.fields.size() == 15) {
-        // Lineage-carrying layout: replay the promotion itself, demoting
-        // the previously replayed champion into the rollback slot and
-        // keeping its forecast — so a journalled kRollback further down
-        // the suffix finds the same pair the live path had.
-        CAPPLAN_ASSIGN_OR_RETURN(std::int64_t generation,
-                                 ParseInt64(event.fields[13]));
-        CAPPLAN_ASSIGN_OR_RETURN(model.promoted_at_epoch,
-                                 ParseInt64(event.fields[14]));
-        model.generation = static_cast<int>(generation);
-        if (registry_.Contains(event.key)) {
-          if (const auto fc = forecasts_.find(event.key);
-              fc != forecasts_.end()) {
-            previous_forecasts_[event.key] = fc->second;
+      if (model.generation > 0) {
+        // A promotion: the champion (stamped with its final live accuracy)
+        // and its forecast become the rollback pair.
+        if (registry_.Contains(key)) {
+          if (fit.demoted_live_mape >= 0.0) {
+            registry_.UpdateLiveMape(key, fit.demoted_live_mape);
+          }
+          if (const auto fc = forecasts_.find(key); fc != forecasts_.end()) {
+            previous_forecasts_[key] = fc->second;
           }
         }
-        registry_.Promote(model);
+        registry_.Promote(std::move(model));
       } else {
-        registry_.Put(model);
+        registry_.Put(model);  // pre-lineage layout: lineage-neutral
       }
-      forecasts_[event.key] = std::move(cached);
-      ScheduleEntry entry;
-      entry.key = event.key;
-      entry.due_epoch =
-          model.fitted_at_epoch + config_.staleness.max_age_seconds;
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
+      forecasts_[key] = std::move(cached);
+      if (const auto a = alerts_.find(key); a != alerts_.end()) {
+        RefreshPrognosis(&a->second);
+      }
+      ShardForKey(key).scheduler.OnSuccess(
+          key, fit.model.fitted_at_epoch + config_.staleness.max_age_seconds);
+      return;
     }
     case EventKind::kFitFail: {
-      if (event.fields.size() != 3) {
-        return Status::IoError("service: malformed fit_fail event");
-      }
-      ScheduleEntry entry;
-      entry.key = event.key;
-      try {
-        entry.consecutive_failures = std::stoi(event.fields[0]);
-      } catch (...) {
-        return Status::IoError("service: bad failure count in fit_fail");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t next_due,
-                               ParseInt64(event.fields[1]));
-      if (next_due < 0) {
-        entry.quarantined = true;
-        entry.due_epoch = event.epoch;
-      } else {
-        entry.due_epoch = next_due;
-      }
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
+      const auto& fail = std::get<FitFailEvent>(event.payload);
+      const bool quarantined = fail.next_due < 0;
+      ShardForKey(key).scheduler.Restore(
+          {key, quarantined ? event.epoch : fail.next_due,
+           fail.consecutive_failures, quarantined});
+      return;
     }
-    case EventKind::kQuarantine: {
-      ScheduleEntry entry;
-      entry.key = event.key;
-      entry.due_epoch = event.epoch;
-      entry.consecutive_failures = config_.retry.quarantine_after_failures;
-      entry.quarantined = true;
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
+    case EventKind::kQuarantine: {  // keeps the failure count
+      RetrainScheduler& scheduler = ShardForKey(key).scheduler;
+      const int failures = scheduler.Get(key)
+                               .value_or(ScheduleEntry{})
+                               .consecutive_failures;
+      scheduler.Restore({key, event.epoch, failures, /*quarantined=*/true});
+      return;
     }
-    case EventKind::kRelease: {
-      ScheduleEntry entry;
-      entry.key = event.key;
-      entry.due_epoch = event.epoch;
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
-    }
+    case EventKind::kRelease:
+      ShardForKey(key).scheduler.Restore({key, event.epoch});
+      return;
     case EventKind::kAlert: {
-      if (event.fields.size() != 2) {
-        return Status::IoError("service: malformed alert event");
-      }
-      ServiceAlert alert;
-      alert.key = event.key;
-      alert.upper_only = event.fields[0] == "upper";
-      CAPPLAN_ASSIGN_OR_RETURN(alert.predicted_breach_epoch,
-                               ParseInt64(event.fields[1]));
-      alert.raised_at_epoch = event.epoch;
-      alerts_[event.key] = alert;
-      return Status::OK();
+      const auto& raised = std::get<AlertEvent>(event.payload);
+      alerts_[key] = {key, raised.upper_only, raised.predicted_breach_epoch,
+                      event.epoch};
+      return;
     }
     case EventKind::kAlertClear:
-      alerts_.erase(event.key);
-      return Status::OK();
+      alerts_.erase(key);
+      return;
     case EventKind::kSnapshot:
-      return Status::OK();
+      return;
     case EventKind::kQuality: {
-      if (event.fields.size() != 3) {
-        return Status::IoError("service: malformed quality event");
-      }
-      quality::QualityReport q;
-      q.key = event.key;
-      try {
-        q.score = std::stod(event.fields[0]);
-      } catch (...) {
-        return Status::IoError("service: bad score in quality event");
-      }
-      q.trainable = event.fields[1] == "1";
-      q.verdict = event.fields[2];
-      quality_[event.key] = std::move(q);
-      return Status::OK();
+      quality::QualityReport report =
+          std::get<QualityEvent>(event.payload).report;
+      report.key = key;
+      quality_[key] = std::move(report);
+      return;
     }
-    case EventKind::kPromotion: {
-      // A rejected challenger: the champion stayed, only the schedule moved.
-      if (event.fields.size() != 6) {
-        return Status::IoError("service: malformed promotion event");
-      }
-      ScheduleEntry entry;
-      entry.key = event.key;
-      CAPPLAN_ASSIGN_OR_RETURN(entry.due_epoch, ParseInt64(event.fields[5]));
-      ShardForKey(event.key).scheduler.Restore(std::move(entry));
-      return Status::OK();
-    }
+    case EventKind::kPromotion:
+      // A rejected challenger: the champion stays, only the schedule moves.
+      ShardForKey(key).scheduler.OnSuccess(
+          key, std::get<PromotionEvent>(event.payload).next_due);
+      return;
     case EventKind::kRollback: {
-      // Self-contained: the full restored model + forecast payload, so
-      // replay needs no in-memory lineage (the rollback slot may be empty
-      // after a crash — exactly why the payload is journalled).
-      if (event.fields.size() != 18) {
-        return Status::IoError("service: malformed rollback event");
-      }
-      repo::StoredModel model;
-      model.key = event.key;
-      model.technique = event.fields[0];
-      model.spec = event.fields[1];
-      try {
-        model.test_rmse = std::stod(event.fields[2]);
-        model.test_mape = std::stod(event.fields[3]);
-        model.live_mape = std::stod(event.fields[7]);
-      } catch (...) {
-        return Status::IoError("service: bad accuracy in rollback event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(model.fitted_at_epoch,
-                               ParseInt64(event.fields[4]));
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t generation,
-                               ParseInt64(event.fields[5]));
-      model.generation = static_cast<int>(generation);
-      CAPPLAN_ASSIGN_OR_RETURN(model.promoted_at_epoch,
-                               ParseInt64(event.fields[6]));
-      CAPPLAN_ASSIGN_OR_RETURN(model.ar_coef, ParseDoubles(event.fields[8]));
-      CAPPLAN_ASSIGN_OR_RETURN(model.ma_coef, ParseDoubles(event.fields[9]));
-      registry_.Reinstate(model);
-      CachedForecast cached;
-      CAPPLAN_ASSIGN_OR_RETURN(cached.start_epoch,
-                               ParseInt64(event.fields[10]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.step_seconds,
-                               ParseInt64(event.fields[11]));
-      try {
-        cached.forecast.level = std::stod(event.fields[12]);
-      } catch (...) {
-        return Status::IoError("service: bad level in rollback event");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.mean,
-                               ParseDoubles(event.fields[13]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.lower,
-                               ParseDoubles(event.fields[14]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.upper,
-                               ParseDoubles(event.fields[15]));
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t level,
-                               ParseInt64(event.fields[16]));
-      if (level < 0 ||
-          level > static_cast<int>(core::DegradationLevel::kBaseline)) {
-        return Status::IoError("service: bad degradation in rollback event");
-      }
-      cached.degradation =
-          static_cast<core::DegradationLevel>(static_cast<int>(level));
+      const auto& rollback = std::get<RollbackEvent>(event.payload);
+      repo::StoredModel model = rollback.model;
+      model.key = key;
+      CachedForecast cached = rollback.forecast;
       cached.spec = model.technique + " " + model.spec;
-      forecasts_[event.key] = std::move(cached);
-      previous_forecasts_.erase(event.key);
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t next_due,
-                               ParseInt64(event.fields[17]));
-      if (next_due >= 0) {
-        ScheduleEntry entry;
-        entry.key = event.key;
-        entry.due_epoch = next_due;
-        ShardForKey(event.key).scheduler.Restore(std::move(entry));
+      registry_.Reinstate(model);
+      forecasts_[key] = std::move(cached);
+      previous_forecasts_.erase(key);
+      if (const auto a = alerts_.find(key); a != alerts_.end()) {
+        RefreshPrognosis(&a->second);
       }
-      return Status::OK();
+      // Only ever earlier: a key that kept its due time (backing off,
+      // quarantined, in flight) keeps its failure count and flags too.
+      if (rollback.next_due >= 0) {
+        ShardForKey(key).scheduler.PullForward(key, rollback.next_due);
+      }
+      return;
     }
   }
-  return Status::Internal("service: unhandled event kind");
+}
+
+void EstateService::RefreshPrognosis(ServiceAlert* alert) const {
+  const auto fc = forecasts_.find(alert->key);
+  const auto watch = watch_index_.find(alert->key);
+  if (fc == forecasts_.end() || watch == watch_index_.end()) return;
+  const BreachScan scan =
+      ScanForBreach(fc->second, watches_[watch->second].threshold, now_);
+  if (scan.breach) {
+    alert->upper_only = scan.upper_only;
+    alert->predicted_breach_epoch = scan.epoch;
+  }
+}
+
+Status EstateService::LoadBaseline(bool from_snapshot) {
+  now_ = cluster_->start_epoch() +
+         static_cast<std::int64_t>(std::max(0, config_.warmup_days)) * 86400;
+  cursor_ = now_;
+  ticks_ = 0;
+  const std::string& dir = config_.state_dir;
+  if (from_snapshot) {
+    CAPPLAN_RETURN_NOT_OK(registry_.Load(dir + "/snapshot.registry.csv"));
+    // The schedule snapshot is one merged CSV; rows route back to their
+    // shard's scheduler by the same key hash that placed them.
+    CAPPLAN_ASSIGN_OR_RETURN(
+        std::vector<ScheduleEntry> schedule,
+        repo::ReadRows<ScheduleEntry>(dir + "/snapshot.schedule.csv"));
+    for (auto& entry : schedule) {
+      ShardForKey(entry.key).scheduler.Restore(std::move(entry));
+    }
+    CAPPLAN_ASSIGN_OR_RETURN(
+        std::vector<ForecastRow> forecasts,
+        repo::ReadRows<ForecastRow>(dir + "/snapshot.forecasts.csv"));
+    for (auto& row : forecasts) forecasts_[row.key] = std::move(row.cached);
+    CAPPLAN_ASSIGN_OR_RETURN(
+        std::vector<ServiceAlert> alerts,
+        repo::ReadRows<ServiceAlert>(dir + "/snapshot.alerts.csv"));
+    for (auto& alert : alerts) alerts_[alert.key] = alert;
+    // Snapshots written before quality reports were persisted have none.
+    if (const std::string path = dir + "/snapshot.quality.csv";
+        std::filesystem::exists(path)) {
+      CAPPLAN_ASSIGN_OR_RETURN(std::vector<QualityRow> quality,
+                               repo::ReadRows<QualityRow>(path));
+      for (auto& row : quality) {
+        row.quality.report.key = row.key;
+        quality_[row.key] = std::move(row.quality.report);
+      }
+    }
+    CAPPLAN_ASSIGN_OR_RETURN(
+        std::vector<MetaRow> meta,
+        repo::ReadRows<MetaRow>(dir + "/snapshot.meta.csv"));
+    for (const MetaRow& row : meta) {
+      if (row.field == "now_epoch") now_ = row.value;
+      if (row.field == "cursor_epoch") cursor_ = row.value;
+      if (row.field == "ticks") ticks_ = static_cast<std::uint64_t>(row.value);
+    }
+  }
+  // Keys the baseline does not know start due now: every key on a fresh
+  // start, a watch added since the snapshot otherwise.
+  for (const auto& key : keys_) {
+    RetrainScheduler& scheduler = ShardForKey(key).scheduler;
+    if (!scheduler.Get(key).ok()) scheduler.ScheduleAt(key, now_);
+  }
+  return Status::OK();
 }
 
 Status EstateService::RecoverShardHistory(EstateShard* shard) {
@@ -1698,111 +1444,24 @@ Status EstateService::Recover() {
   if (config_.state_dir.empty()) {
     return Status::FailedPrecondition("service: no state_dir to recover from");
   }
-  CAPPLAN_ASSIGN_OR_RETURN(std::vector<JournalEvent> events,
-                           ReadJournal(JournalPath()));
+  CAPPLAN_ASSIGN_OR_RETURN(std::vector<Event> events,
+                           ReadEvents(JournalPath()));
   if (events.empty()) {
     return Status::NotFound("service: nothing to recover in " +
                             config_.state_dir);
   }
-
-  // Baseline: the last snapshot, or the fresh post-warmup state.
+  // Baseline: the last snapshot, or the fresh post-warmup state; then the
+  // journal suffix through the same reducer the live ticks used.
   std::size_t replay_from = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (events[i].kind == EventKind::kSnapshot) replay_from = i + 1;
+    if (events[i].kind() == EventKind::kSnapshot) replay_from = i + 1;
   }
-  if (replay_from > 0) {
-    const std::string& dir = config_.state_dir;
-    CAPPLAN_RETURN_NOT_OK(registry_.Load(dir + "/snapshot.registry.csv"));
-    // The schedule snapshot is one merged CSV; rows route back to their
-    // shard's scheduler by the same key hash that placed them.
-    CAPPLAN_ASSIGN_OR_RETURN(
-        std::vector<ScheduleEntry> schedule,
-        RetrainScheduler::LoadEntries(dir + "/snapshot.schedule.csv"));
-    for (auto& entry : schedule) {
-      RetrainScheduler& scheduler = ShardForKey(entry.key).scheduler;
-      scheduler.Restore(std::move(entry));
-    }
-    CAPPLAN_ASSIGN_OR_RETURN(
-        repo::CsvTable forecasts,
-        repo::ReadCsv(dir + "/snapshot.forecasts.csv"));
-    for (const auto& row : forecasts.rows) {
-      // 8 columns = the pre-ladder snapshot layout (degradation -> kFull).
-      if (row.size() != 8 && row.size() != 9) {
-        return Status::IoError("service: malformed forecast snapshot row");
-      }
-      CachedForecast cached;
-      cached.spec = row[1];
-      CAPPLAN_ASSIGN_OR_RETURN(cached.start_epoch, ParseInt64(row[2]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.step_seconds, ParseInt64(row[3]));
-      try {
-        cached.forecast.level = std::stod(row[4]);
-      } catch (...) {
-        return Status::IoError("service: bad level in forecast snapshot");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.mean, ParseDoubles(row[5]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.lower, ParseDoubles(row[6]));
-      CAPPLAN_ASSIGN_OR_RETURN(cached.forecast.upper, ParseDoubles(row[7]));
-      if (row.size() == 9) {
-        CAPPLAN_ASSIGN_OR_RETURN(std::int64_t level, ParseInt64(row[8]));
-        if (level < 0 ||
-            level > static_cast<int>(core::DegradationLevel::kBaseline)) {
-          return Status::IoError(
-              "service: bad degradation in forecast snapshot");
-        }
-        cached.degradation =
-            static_cast<core::DegradationLevel>(static_cast<int>(level));
-      }
-      forecasts_[row[0]] = std::move(cached);
-    }
-    CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable alerts,
-                             repo::ReadCsv(dir + "/snapshot.alerts.csv"));
-    for (const auto& row : alerts.rows) {
-      if (row.size() != 4) {
-        return Status::IoError("service: malformed alert snapshot row");
-      }
-      ServiceAlert alert;
-      alert.key = row[0];
-      alert.upper_only = row[1] == "1";
-      CAPPLAN_ASSIGN_OR_RETURN(alert.predicted_breach_epoch,
-                               ParseInt64(row[2]));
-      CAPPLAN_ASSIGN_OR_RETURN(alert.raised_at_epoch, ParseInt64(row[3]));
-      alerts_[alert.key] = alert;
-    }
-    CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable meta,
-                             repo::ReadCsv(dir + "/snapshot.meta.csv"));
-    for (const auto& row : meta.rows) {
-      if (row.size() != 2) {
-        return Status::IoError("service: malformed meta snapshot row");
-      }
-      CAPPLAN_ASSIGN_OR_RETURN(std::int64_t value, ParseInt64(row[1]));
-      if (row[0] == "now_epoch") now_ = value;
-      if (row[0] == "cursor_epoch") cursor_ = value;
-      if (row[0] == "ticks") ticks_ = static_cast<std::uint64_t>(value);
-    }
-  } else {
-    now_ = cluster_->start_epoch() +
-           static_cast<std::int64_t>(config_.warmup_days) * 86400;
-    cursor_ = now_;
-    ticks_ = 0;
-  }
-
-  for (std::size_t i = replay_from; i < events.size(); ++i) {
-    CAPPLAN_RETURN_NOT_OK(ReplayEvent(events[i]));
-  }
+  CAPPLAN_RETURN_NOT_OK(LoadBaseline(/*from_snapshot=*/replay_from > 0));
+  for (std::size_t i = replay_from; i < events.size(); ++i) Apply(events[i]);
   // The sequence counter resumes at the journal's true length, so wide
   // events emitted after recovery keep pointing at absolute positions in
   // the (re-opened, append-only) journal file.
   journal_seq_ = events.size();
-
-  // Keys that never reached a journaled outcome fall back to their initial
-  // schedule (the snapshot carries them otherwise). Keys that were sitting
-  // on a refit queue at the crash are still in_flight=false after Restore,
-  // with their original due time — they are simply taken due again, which
-  // is exactly the no-orphaned-entries guarantee.
-  for (const auto& key : keys_) {
-    RetrainScheduler& scheduler = ShardForKey(key).scheduler;
-    if (!scheduler.Get(key).ok()) scheduler.ScheduleAt(key, now_);
-  }
 
   // Rebuild the metric history, one shard at a time (in parallel when
   // sharded): segments where usable, re-poll otherwise.

@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agent/agent.h"
@@ -15,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "core/capacity.h"
 #include "core/pipeline.h"
+#include "obs/event_log.h"
 #include "obs/slo.h"
 #include "quality/guardrail.h"
 #include "quality/sentinel.h"
@@ -47,11 +50,9 @@ namespace capplan::service {
 // queue in batches of refit_batch_size series per pool job, so transforms
 // that do not depend on the series values (the Fourier design columns
 // behind every shared-OLS group — core::RefitBatchSession) are computed
-// once per batch instead of once per series. The estate-level coordinator —
-// this class — keeps the public API, the journal/snapshot formats, the
-// model registry, forecast/alert state and EstateView publication exactly
-// as before, so the serving layer and recovery semantics are unchanged;
-// docs/scaling.md covers the sharding model and its metrics.
+// once per batch instead of once per series (docs/scaling.md). The
+// coordinator — this class — owns the estate-level state and changes it
+// only by applying journal events, live and on recovery alike.
 
 // One (instance, metric) pair under estate watch.
 struct WatchConfig {
@@ -208,6 +209,12 @@ struct ServiceAlert {
   bool upper_only = false;  // only the upper prediction bound crosses
   std::int64_t predicted_breach_epoch = 0;
   std::int64_t raised_at_epoch = 0;
+
+  template <class F>
+  void Fields(F& f) {  // snapshot.alerts.csv row
+    f(key, Flag{upper_only, "1", "0"}, predicted_breach_epoch,
+      raised_at_epoch);
+  }
 };
 
 // What one Tick() did.
@@ -241,18 +248,20 @@ class EstateService {
   // schedules an initial fit for every watch.
   Status Start();
 
-  // Crash recovery: reloads the last snapshot from state_dir, replays the
-  // journal suffix to rebuild clock, registry, schedule, cached forecasts
-  // and alert state, then rebuilds the metric history by re-polling the
-  // deterministic agents up to the recovered cursor. (A real deployment
-  // would reload the repository's own persisted series instead; see
-  // MetricsRepository::SaveAll.)
+  // Crash recovery: loads the last snapshot from state_dir as the baseline
+  // (the fresh post-warmup state when there is none), decodes the journal
+  // suffix and applies each event through the same reducer the live ticks
+  // use, so clock, registry, schedule, cached forecasts, alerts and quality
+  // reports land exactly where the live service had them at that journal
+  // prefix. Then rebuilds the metric history from the shard segments plus a
+  // re-poll of the deterministic agents up to the recovered cursor.
   Status Recover();
 
   // One scheduler cycle: ingest the elapsed window, check staleness and
   // degradation, dispatch due refits onto the pool, collect finished ones,
   // update the alert feed, journal, and snapshot when due. Never blocks on
-  // in-flight refits.
+  // in-flight refits. A tick whose ingest fails leaves the clock where it
+  // was; the next tick's window spans both, so no sample is lost.
   Result<TickReport> Tick();
 
   // Convenience: `n` consecutive ticks, stopping on the first error.
@@ -377,33 +386,16 @@ class EstateService {
                             const WatchConfig& watch);
 
  private:
-  struct CachedForecast {
-    models::Forecast forecast;
-    std::int64_t start_epoch = 0;   // timestamp of forecast step 1
-    std::int64_t step_seconds = 3600;
-    std::string spec;
-    // Ladder rung that produced this forecast; consumers treat anything
-    // above kFull as provisional capacity guidance.
-    core::DegradationLevel degradation = core::DegradationLevel::kFull;
-  };
-
   // Everything a worker returns; applied on the driver thread.
   struct FitOutcome {
     std::string key;
-    std::int64_t fitted_at_epoch = 0;  // dispatch-time sim clock
     Status status;
-    std::string technique;
-    std::string spec;
-    double test_rmse = 0.0;
-    double test_mape = 0.0;
-    std::vector<double> ar_coef;  // winner's coefficients, for warm starts
-    std::vector<double> ma_coef;
-    std::vector<double> periods;  // detected seasonal periods at fit time
-    models::Forecast forecast;
-    std::int64_t forecast_start_epoch = 0;
-    std::int64_t forecast_step_seconds = 3600;
+    // The challenger, as it would be installed: technique, spec, held-out
+    // accuracy, dispatch-time fitted_at, the winner's coefficients (for
+    // warm starts) and detected periods — and its forecast.
+    repo::StoredModel model;
+    CachedForecast forecast;
     double wall_ms = 0.0;
-    core::DegradationLevel degradation = core::DegradationLevel::kFull;
     bool quality_gated = false;  // sentinel kept this fit off the grid
     quality::QualityReport quality;
     // The worker's refit trace span, stamped onto this outcome's journal
@@ -449,49 +441,98 @@ class EstateService {
   }
 
   // Runs `fn(shard)` for every shard — inline when unsharded, as one job
-  // per shard on the tick pool otherwise — and returns the first error.
-  // The driver blocks until every shard job has finished, so shard state is
-  // never touched from two threads at once.
+  // per shard on the tick pool otherwise — and returns the results in shard
+  // order. The driver blocks until every shard job has finished, so shard
+  // state is never touched from two threads at once.
+  template <class Fn>
+  auto MapShards(const Fn& fn) {
+    using R = decltype(fn(shards_[0].get()));
+    std::vector<R> out;
+    out.reserve(shards_.size());
+    if (tick_pool_ == nullptr) {
+      for (auto& shard : shards_) out.push_back(fn(shard.get()));
+      return out;
+    }
+    std::vector<std::future<R>> pending;
+    for (auto& shard : shards_) {
+      pending.push_back(tick_pool_->Submit([&fn, s = shard.get()] {
+        return fn(s);
+      }));
+    }
+    for (auto& f : pending) out.push_back(f.get());
+    return out;
+  }
+  // MapShards over Status jobs: the first error, once every job finished.
   Status ForEachShard(const std::function<Status(EstateShard*)>& fn);
 
+  // The tick-phase functions take the clock of the tick being decided
+  // (`now`): now_ only moves when that tick's event is applied.
   Status IngestShard(EstateShard* shard, std::int64_t from_epoch,
                      std::int64_t to_epoch,
                      std::size_t* samples_out = nullptr);
-  void CheckStalenessShard(EstateShard* shard);
+  void CheckStalenessShard(EstateShard* shard, std::int64_t now);
   // Takes due keys into the shard's refit queue, then drains the queue into
   // prepared batches (short-history keys defer instead).
-  void PrepareBatches(EstateShard* shard, ShardTickOutput* out);
+  void PrepareBatches(EstateShard* shard, std::int64_t now,
+                      ShardTickOutput* out);
   // The whole per-shard phase of one Tick: ingest + staleness + batching.
-  ShardTickOutput TickShard(EstateShard* shard);
-  void SubmitBatch(PreparedBatch batch, TickReport* report);
-  void CollectFinished(bool block, TickReport* report);
-  void ApplyOutcome(const FitOutcome& outcome, TickReport* report);
-  void EvaluateAlerts(TickReport* report);
+  ShardTickOutput TickShard(EstateShard* shard, std::int64_t now);
+  void SubmitBatch(PreparedBatch batch, TickReport& report);
+  void CollectFinished(bool block, std::int64_t now, TickReport& report);
+  // Decides what a finished refit means (retry ladder, promotion gate) and
+  // commits the resulting events.
+  void CommitOutcome(const FitOutcome& outcome, std::int64_t now,
+                     TickReport& report);
+  // Decides alert raises and clears against the cached forecasts.
+  void EvaluateAlerts(std::int64_t now, TickReport& report);
   // Shard-phase live scoring: every hourly actual the tick ingested is
   // scored against the key's active cached forecast (one guardrail tracker
   // per key), feeding the Page-Hinkley detector; an alarm pulls the key's
   // refit forward when backoff allows. Runs inside TickShard, so it only
   // reads coordinator forecasts_ (the CheckStalenessShard precedent) and
   // writes shard-owned guardrail state.
-  void ScoreShard(EstateShard* shard);
+  void ScoreShard(EstateShard* shard, std::int64_t now);
   // Driver-phase guardrail pass: exports per-shard worst-key gauges and
   // rolls back champions whose live MAPE regressed past the configured
   // ratio of their predecessor's accuracy.
-  void EvaluateGuardrails(TickReport* report);
+  void EvaluateGuardrails(std::int64_t now, TickReport& report);
+  // Flight-recorder event for a committed transition (refit, promotion
+  // verdict, rollback), linked to the journal event last appended; returns
+  // its id (0 when the recorder is off).
+  std::uint64_t EmitEvent(
+      obs::WideEventKind kind, const std::string& key, std::uint64_t span_id,
+      const char* outcome,
+      std::initializer_list<std::pair<const char*, double>> attrs,
+      double dur_ms = 0.0);
   // Driver-phase health pass: folds the tick's signals into each shard's
   // state machine and exports the state gauges.
   void EvaluateHealth();
   void PublishView();
   Status WriteSnapshot();
-  Status ReplayEvent(const JournalEvent& event);
+  // The baseline a journal suffix applies to: the snapshot files, or the
+  // fresh post-warmup state (clock at the end of warmup, every key due).
+  Status LoadBaseline(bool from_snapshot);
+  // The one reducer: every transition of durable estate state (clock,
+  // registry and rollback slot, forecasts, alerts, quality reports, and the
+  // schedule entries outcomes set) happens here, for live ticks and journal
+  // replay alike. Telemetry, tick reports, wide events and guardrail
+  // trackers are the live caller's business.
+  void Apply(const Event& event);
+  // An active alert's prognosis is derived state: where its key's forecast
+  // first breaches at or after the clock. Left as it is when the forecast
+  // no longer covers the clock or stopped breaching (the next alert pass
+  // decides a clear).
+  void RefreshPrognosis(ServiceAlert* alert) const;
+  // The live half of the rule: journal `event` (durable services only;
+  // span_id 0 is stamped with the calling thread's active trace span), then
+  // Apply it. Returns the journal status; the transition is applied either
+  // way.
+  Status Commit(Event event);
   // Rebuilds one shard's metric history on recovery: reopen its segment
   // directory and re-poll only the missing suffix, or fall back to a full
   // re-poll when the segments are missing/damaged/inconsistent.
   Status RecoverShardHistory(EstateShard* shard);
   std::string ShardSegmentDir(std::size_t shard) const;
-  // Appends by value: events with span_id 0 are stamped with the calling
-  // thread's active trace span before serialization.
-  Status JournalAppend(JournalEvent event);
   std::string JournalPath() const;
 
   const workload::ClusterSimulator* cluster_;  // not owned
@@ -518,6 +559,7 @@ class EstateService {
   // counter, but plain so the hot path stays off the registry).
   std::uint64_t journal_seq_ = 0;
 
+  // Durable estate state, written only by Apply (and the baseline loader).
   std::map<std::string, CachedForecast> forecasts_;
   // Rollback targets: the forecast each key's previous champion was serving
   // when the current champion displaced it. Entries exist only for keys
@@ -535,6 +577,9 @@ class EstateService {
   std::int64_t now_ = 0;     // simulated clock
   std::int64_t cursor_ = 0;  // next poll epoch (ingested up to here)
   std::uint64_t ticks_ = 0;
+  // Ticks whose ingest failed since the last applied one; the next tick's
+  // window covers them too.
+  std::int64_t failed_ticks_ = 0;
 
   // Small pool for the parallel per-shard tick jobs (null when unsharded:
   // one shard runs inline on the driver thread). Separate from pool_ so a

@@ -1,9 +1,11 @@
 #include "service/journal.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -27,55 +29,76 @@ std::string Sanitize(const std::string& s) {
 
 std::vector<std::string> SplitLine(const std::string& line) {
   std::vector<std::string> parts;
-  std::size_t begin = 0;
-  for (;;) {
-    const std::size_t pos = line.find(kSeparator, begin);
-    if (pos == std::string::npos) {
-      parts.push_back(line.substr(begin));
-      return parts;
-    }
-    parts.push_back(line.substr(begin, pos - begin));
-    begin = pos + 1;
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = std::min(line.find(kSeparator, begin), line.size());
+    parts.push_back(line.substr(begin, end - begin));
+    if (end == line.size()) return parts;
+    begin = end + 1;
   }
 }
+
+template <std::size_t I = 0>
+Result<EventPayload> DecodePayload(EventKind kind,
+                                   const std::vector<std::string>& fields) {
+  if constexpr (I < std::variant_size_v<EventPayload>) {
+    if (static_cast<std::size_t>(kind) != I) {
+      return DecodePayload<I + 1>(kind, fields);
+    }
+    using T = std::variant_alternative_t<I, EventPayload>;
+    auto payload = DecodeFields<T>(fields);
+    if (!payload.ok()) {
+      return Status::IoError("journal: " + std::string(EventKindName(kind)) +
+                             ": " + payload.status().message());
+    }
+    return EventPayload(std::in_place_index<I>, std::move(*payload));
+  } else {
+    return Status::IoError("journal: unknown event kind");
+  }
+}
+
+// Shared by both readers: only the torn tail of a crashed append may fail to
+// parse; a bad line followed by good ones means the file is not a journal.
+template <class T>
+Result<std::vector<T>> ReadLines(const std::string& path,
+                                 Result<T> (*parse)(const std::string&)) {
+  std::ifstream in(path);
+  std::vector<T> events;
+  if (!in.is_open()) return events;  // no journal yet: nothing to replay
+  std::string line;
+  bool saw_garbage = false;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    auto event = parse(line);
+    if (!event.ok()) {
+      saw_garbage = true;
+      continue;
+    }
+    if (saw_garbage) {
+      return Status::IoError("journal: malformed interior line in " + path);
+    }
+    events.push_back(std::move(*event));
+  }
+  return events;
+}
+
+// Indexed by EventKind, like EventPayload's alternatives.
+constexpr const char* kKindNames[] = {
+    "tick",        "fit_ok",   "fit_fail", "quarantine", "release",  "alert",
+    "alert_clear", "snapshot", "quality",  "promotion",  "rollback"};
+static_assert(std::size(kKindNames) == std::variant_size_v<EventPayload> &&
+                  std::size(kKindNames) == 1 + int(EventKind::kRollback),
+              "one name and one typed payload per EventKind");
 
 }  // namespace
 
 const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kTick:
-      return "tick";
-    case EventKind::kFitOk:
-      return "fit_ok";
-    case EventKind::kFitFail:
-      return "fit_fail";
-    case EventKind::kQuarantine:
-      return "quarantine";
-    case EventKind::kRelease:
-      return "release";
-    case EventKind::kAlert:
-      return "alert";
-    case EventKind::kAlertClear:
-      return "alert_clear";
-    case EventKind::kSnapshot:
-      return "snapshot";
-    case EventKind::kQuality:
-      return "quality";
-    case EventKind::kPromotion:
-      return "promotion";
-    case EventKind::kRollback:
-      return "rollback";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kKindNames) ? kKindNames[i] : "?";
 }
 
 Result<EventKind> ParseEventKind(const std::string& name) {
-  for (EventKind k :
-       {EventKind::kTick, EventKind::kFitOk, EventKind::kFitFail,
-        EventKind::kQuarantine, EventKind::kRelease, EventKind::kAlert,
-        EventKind::kAlertClear, EventKind::kSnapshot, EventKind::kQuality,
-        EventKind::kPromotion, EventKind::kRollback}) {
-    if (name == EventKindName(k)) return k;
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (name == kKindNames[i]) return static_cast<EventKind>(i);
   }
   return Status::InvalidArgument("journal: unknown event kind '" + name + "'");
 }
@@ -96,20 +119,13 @@ Result<JournalEvent> JournalEvent::Parse(const std::string& line) {
     return Status::InvalidArgument("journal: malformed line");
   }
   JournalEvent event;
-  try {
-    event.epoch = std::stoll(parts[1]);
-  } catch (...) {
+  if (!ParseNumber(parts[1], &event.epoch)) {
     return Status::InvalidArgument("journal: bad epoch in line");
   }
   CAPPLAN_ASSIGN_OR_RETURN(event.kind, ParseEventKind(parts[2]));
-  std::size_t key_at = 3;
-  if (v2) {
-    try {
-      event.span_id = std::stoull(parts[3]);
-    } catch (...) {
-      return Status::InvalidArgument("journal: bad span id in line");
-    }
-    key_at = 4;
+  const std::size_t key_at = v2 ? 4 : 3;
+  if (v2 && !ParseNumber(parts[3], &event.span_id)) {
+    return Status::InvalidArgument("journal: bad span id in line");
   }
   event.key = parts[key_at];
   event.fields.assign(parts.begin() + static_cast<std::ptrdiff_t>(key_at) + 1,
@@ -117,21 +133,17 @@ Result<JournalEvent> JournalEvent::Parse(const std::string& line) {
   return event;
 }
 
-EventJournal::~EventJournal() { Close(); }
-
-EventJournal::EventJournal(EventJournal&& other) noexcept
-    : path_(std::move(other.path_)), file_(other.file_) {
-  other.file_ = nullptr;
+JournalEvent Event::Encode() const {
+  return {epoch, kind(), key,
+          std::visit([](const auto& p) { return EncodeFields(p); }, payload),
+          span_id};
 }
 
-EventJournal& EventJournal::operator=(EventJournal&& other) noexcept {
-  if (this != &other) {
-    Close();
-    path_ = std::move(other.path_);
-    file_ = other.file_;
-    other.file_ = nullptr;
-  }
-  return *this;
+Result<Event> Event::Parse(const std::string& line) {
+  CAPPLAN_ASSIGN_OR_RETURN(JournalEvent raw, JournalEvent::Parse(line));
+  CAPPLAN_ASSIGN_OR_RETURN(EventPayload payload,
+                           DecodePayload(raw.kind, raw.fields));
+  return Event{raw.epoch, raw.key, std::move(payload), raw.span_id};
 }
 
 Result<EventJournal> EventJournal::Open(const std::string& path) {
@@ -142,7 +154,7 @@ Result<EventJournal> EventJournal::Open(const std::string& path) {
   }
   EventJournal journal;
   journal.path_ = path;
-  journal.file_ = f;
+  journal.file_.reset(f);
   return journal;
 }
 
@@ -156,47 +168,25 @@ Status EventJournal::Append(const JournalEvent& event) {
     // A crash mid-append: a prefix of the line reaches the disk with no
     // newline, and the caller sees the write fail. ReadJournal must treat
     // the torn tail as absent.
-    std::fwrite(line.data(), 1, line.size() / 2, file_);
-    std::fflush(file_);
+    std::fwrite(line.data(), 1, line.size() / 2, file_.get());
+    std::fflush(file_.get());
     return Status::IoError("journal: torn write to " + path_);
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
+  if (std::fwrite(line.data(), 1, line.size(), file_.get()) != line.size()) {
     return Status::IoError("journal: short write to " + path_);
   }
-  if (std::fflush(file_) != 0) {
+  if (std::fflush(file_.get()) != 0) {
     return Status::IoError("journal: flush failed for " + path_);
   }
   return Status::OK();
 }
 
-void EventJournal::Close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+Result<std::vector<JournalEvent>> ReadJournal(const std::string& path) {
+  return ReadLines<JournalEvent>(path, &JournalEvent::Parse);
 }
 
-Result<std::vector<JournalEvent>> ReadJournal(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<JournalEvent> events;
-  if (!in.is_open()) return events;  // no journal yet: nothing to replay
-  std::string line;
-  bool saw_garbage = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto event = JournalEvent::Parse(line);
-    if (!event.ok()) {
-      // Only the torn tail of a crashed append may be unparseable; malformed
-      // lines in the middle mean the file is not a journal.
-      saw_garbage = true;
-      continue;
-    }
-    if (saw_garbage) {
-      return Status::IoError("journal: malformed interior line in " + path);
-    }
-    events.push_back(std::move(*event));
-  }
-  return events;
+Result<std::vector<Event>> ReadEvents(const std::string& path) {
+  return ReadLines<Event>(path, &Event::Parse);
 }
 
 }  // namespace capplan::service

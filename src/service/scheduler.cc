@@ -105,18 +105,24 @@ void RetrainScheduler::OnSuccess(const std::string& key,
 
 bool RetrainScheduler::OnFailure(const std::string& key,
                                  std::int64_t now_epoch) {
-  ScheduleEntry& entry = entries_[key];
-  entry.key = key;
-  entry.in_flight = false;
+  ScheduleEntry entry = AfterFailure(key, now_epoch);
+  const bool quarantined = entry.quarantined;
+  Restore(std::move(entry));
+  return quarantined;
+}
+
+ScheduleEntry RetrainScheduler::AfterFailure(const std::string& key,
+                                             std::int64_t now_epoch) const {
+  ScheduleEntry entry = Get(key).value_or(ScheduleEntry{key});
   entry.consecutive_failures += 1;
-  if (entry.consecutive_failures >= policy_.quarantine_after_failures) {
-    entry.quarantined = true;
-    return true;
-  }
+  entry.quarantined =
+      entry.consecutive_failures >= policy_.quarantine_after_failures;
   entry.due_epoch =
-      now_epoch + policy_.JitteredBackoffFor(key, entry.consecutive_failures);
-  Push(key, entry.due_epoch);
-  return false;
+      entry.quarantined
+          ? now_epoch
+          : now_epoch +
+                policy_.JitteredBackoffFor(key, entry.consecutive_failures);
+  return entry;
 }
 
 void RetrainScheduler::Defer(const std::string& key, std::int64_t due_epoch) {
@@ -179,57 +185,15 @@ void RetrainScheduler::Restore(ScheduleEntry entry) {
   if (!entries_[key].quarantined) Push(key, entries_[key].due_epoch);
 }
 
-Status RetrainScheduler::Save(const std::string& path) const {
-  return SaveEntries(path, Entries());
-}
-
-Status RetrainScheduler::Load(const std::string& path) {
-  CAPPLAN_ASSIGN_OR_RETURN(std::vector<ScheduleEntry> entries,
-                           LoadEntries(path));
-  for (auto& entry : entries) Restore(std::move(entry));
-  return Status::OK();
-}
-
 Status RetrainScheduler::SaveEntries(const std::string& path,
                                      std::vector<ScheduleEntry> entries) {
   std::sort(entries.begin(), entries.end(),
             [](const ScheduleEntry& a, const ScheduleEntry& b) {
               return a.key < b.key;
             });
-  repo::CsvTable table;
-  table.header = {"key", "due_epoch", "consecutive_failures", "quarantined"};
-  for (const auto& e : entries) {
-    table.rows.push_back({e.key, std::to_string(e.due_epoch),
-                          std::to_string(e.consecutive_failures),
-                          e.quarantined ? "1" : "0"});
-  }
-  return repo::WriteCsv(path, table);
-}
-
-Result<std::vector<ScheduleEntry>> RetrainScheduler::LoadEntries(
-    const std::string& path) {
-  CAPPLAN_ASSIGN_OR_RETURN(repo::CsvTable table, repo::ReadCsv(path));
-  if (table.header.size() != 4) {
-    return Status::IoError("scheduler: unexpected column count in " + path);
-  }
-  std::vector<ScheduleEntry> entries;
-  entries.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    if (row.size() != 4) {
-      return Status::IoError("scheduler: malformed row in " + path);
-    }
-    ScheduleEntry entry;
-    entry.key = row[0];
-    try {
-      entry.due_epoch = std::stoll(row[1]);
-      entry.consecutive_failures = std::stoi(row[2]);
-    } catch (...) {
-      return Status::IoError("scheduler: bad number in " + path);
-    }
-    entry.quarantined = row[3] == "1";
-    entries.push_back(std::move(entry));
-  }
-  return entries;
+  return repo::WriteRows(
+      path, {"key", "due_epoch", "consecutive_failures", "quarantined"},
+      entries);
 }
 
 }  // namespace capplan::service

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/result.h"
 
 namespace capplan::service {
@@ -41,6 +42,18 @@ struct ScheduleEntry {
   int consecutive_failures = 0;
   bool quarantined = false;
   bool in_flight = false;  // dispatched, outcome pending; never persisted
+
+  // Whether a refit may be pulled forward to `now` outside the retry
+  // ladder: not quarantined, in flight or backing off, and not yet due.
+  bool CanPullForwardTo(std::int64_t now) const {
+    return !quarantined && !in_flight && consecutive_failures == 0 &&
+           due_epoch > now;
+  }
+
+  template <class F>
+  void Fields(F& f) {  // snapshot row; in_flight is not part of it
+    f(key, due_epoch, consecutive_failures, Flag{quarantined, "1", "0"});
+  }
 };
 
 // Due-time priority queue over the watched keys, driven by the staleness
@@ -70,6 +83,11 @@ class RetrainScheduler {
   // Records a failure; returns true when this failure quarantined the key,
   // otherwise the key is rescheduled at now + backoff.
   bool OnFailure(const std::string& key, std::int64_t now_epoch);
+  // The entry a failure at `now_epoch` would leave, without recording it:
+  // one more consecutive failure, then either quarantine (due_epoch =
+  // now_epoch, the quarantine time) or a reschedule at now + backoff.
+  ScheduleEntry AfterFailure(const std::string& key,
+                             std::int64_t now_epoch) const;
   // Releases an in-flight mark and reschedules without touching the failure
   // count (e.g. not enough history yet).
   void Defer(const std::string& key, std::int64_t due_epoch);
@@ -88,18 +106,12 @@ class RetrainScheduler {
 
   const RetryPolicy& policy() const { return policy_; }
 
-  // CSV snapshot of every entry (in_flight is not persisted).
-  Status Save(const std::string& path) const;
-  Status Load(const std::string& path);
-
-  // Snapshot I/O over an explicit entry list, for callers that merge or
-  // split schedules across several schedulers (the sharded estate service
-  // saves one CSV for all shards and routes rows back by key hash on load).
-  // Entries are written sorted by key; the format matches Save/Load.
+  // CSV snapshot of an explicit entry list, sorted by key (in_flight is not
+  // persisted; read it back with repo::ReadRows<ScheduleEntry>), so callers
+  // can merge or split schedules across schedulers: the sharded estate
+  // service saves one CSV for all shards and routes rows back by key hash.
   static Status SaveEntries(const std::string& path,
                             std::vector<ScheduleEntry> entries);
-  static Result<std::vector<ScheduleEntry>> LoadEntries(
-      const std::string& path);
 
  private:
   void Push(const std::string& key, std::int64_t due_epoch);

@@ -201,6 +201,81 @@ TEST_F(GuardrailChaosTest, RejectedChallengerSurvivesRecovery) {
   std::filesystem::remove_all(config.state_dir);
 }
 
+// A champion serving a garbage forecast is rolled back while its key sits
+// in quarantine (its replacement refits all died). The rollback restores
+// the old champion but must not touch the retry ladder: the key stays
+// quarantined with its failure count, live and after Recover, and its
+// quarantine due time follows the same rule on both paths.
+TEST_F(GuardrailChaosTest, RollbackOfQuarantinedKeySurvivesRecover) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig("rollback_quarantined");
+  config.staleness.max_age_seconds = 2 * kHour;    // refits at ticks 3, 5
+  config.staleness.rmse_degradation_factor = 1e9;  // age-only refits
+  config.guardrail.early_refit_on_drift = false;
+  config.guardrail.rollback_min_scored = 4;  // rollback at tick 7
+  config.always_forecast = false;  // a dead worker is an outright failure
+  config.retry.quarantine_after_failures = 1;
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 95.0}};
+
+  ScheduleEntry live_entry;
+  std::int64_t champion_fitted_at = 0;
+  {
+    EstateService service(&cluster, watches, config);
+    const std::string key = EstateService::KeyFor(cluster, watches[0]);
+    ASSERT_TRUE(service.Start().ok());
+    for (int tick = 1; tick <= 7; ++tick) {
+      if (tick == 3) {
+        FaultInjector::Global().Arm("pipeline.poison_forecast",
+                                    FaultPlan::FailN(1));
+      }
+      if (tick == 5) {
+        FaultInjector::Global().Arm("pipeline.run", FaultPlan::FailN(1));
+      }
+      auto report = service.Tick();
+      ASSERT_TRUE(report.ok());
+      ASSERT_TRUE(service.DrainRefits().ok());
+      FaultInjector::Global().Reset();
+      if (tick == 3) {
+        champion_fitted_at =
+            service.registry().GetPrevious(key)->fitted_at_epoch;
+      }
+      if (tick == 5) {
+        EXPECT_TRUE(service.IsQuarantined(key));
+      }
+      EXPECT_EQ(report->rollbacks, tick == 7 ? 1u : 0u) << "tick " << tick;
+    }
+    // Rolled back, still quarantined, failure count intact.
+    EXPECT_EQ(service.registry().Get(key)->fitted_at_epoch,
+              champion_fitted_at);
+    ASSERT_TRUE(service.IsQuarantined(key));
+    auto entry = service.ScheduleFor(key);
+    ASSERT_TRUE(entry.ok());
+    EXPECT_EQ(entry->consecutive_failures, 1);
+    // Quarantined at tick 5: the quarantine time is its due time.
+    EXPECT_EQ(entry->due_epoch, service.now() - 2 * kHour);
+    live_entry = *entry;
+  }
+
+  EstateService recovered(&cluster, watches, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  const std::string key = recovered.keys()[0];
+  EXPECT_EQ(recovered.registry().Get(key)->fitted_at_epoch,
+            champion_fitted_at);
+  EXPECT_TRUE(recovered.IsQuarantined(key));
+  auto entry = recovered.ScheduleFor(key);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->consecutive_failures, live_entry.consecutive_failures);
+  EXPECT_EQ(entry->due_epoch, live_entry.due_epoch);
+  // Quarantined means out of the rotation: nothing is dispatched until a
+  // release, on the recovered service as on the live one.
+  auto report = recovered.Tick();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->refits_dispatched, 0u);
+  ASSERT_TRUE(recovered.ReleaseQuarantine(key).ok());
+  std::filesystem::remove_all(config.state_dir);
+}
+
 // Drift-alarm storm discipline: a champion serving a garbage forecast keeps
 // tripping the Page-Hinkley detector, but the refits it pulls forward all
 // fail — the retry ladder's backoff and quarantine must bound the damage to

@@ -3,6 +3,7 @@
 // between the psi-weight variance expansion and empirical forecast errors.
 
 #include <cmath>
+#include <ostream>
 #include <random>
 #include <tuple>
 
@@ -46,6 +47,21 @@ struct RecoveryCase {
   std::vector<double> theta;
   unsigned seed;
 };
+
+// Without this gtest prints a case as its raw bytes, which hold heap
+// addresses, so the registered test names would change from run to run.
+void PrintTo(const RecoveryCase& c, std::ostream* os) {
+  const auto list = [os](const std::vector<double>& v) {
+    *os << '{';
+    for (std::size_t i = 0; i < v.size(); ++i) *os << (i ? "," : "") << v[i];
+    *os << '}';
+  };
+  *os << "phi=";
+  list(c.phi);
+  *os << " theta=";
+  list(c.theta);
+  *os << " seed=" << c.seed;
+}
 
 class ArimaRecoveryTest : public ::testing::TestWithParam<RecoveryCase> {};
 

@@ -94,5 +94,24 @@ TEST(SeriesCsvTest, ReadRejectsGarbage) {
   EXPECT_FALSE(ReadSeriesCsv(path).ok());
 }
 
+TEST(SeriesCsvTest, HostileNumbersAreErrorsNotAborts) {
+  const std::string path = TempPath("hostile_series.csv");
+  for (const char* text : {
+           "# s,abc,1\nepoch,value\n",              // non-numeric start
+           "# s,99999999999999999999,1\nepoch,value\n",  // out of range
+           "# s,100,9\nepoch,value\n",              // no such frequency
+           "# s,100,1\nepoch,value\n100,1.5x\n",   // trailing bytes
+           "# s,100,1\nepoch,value\n100,\n",       // empty value
+       }) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+    auto series = ReadSeriesCsv(path);
+    ASSERT_FALSE(series.ok()) << text;
+    EXPECT_EQ(series.status().code(), StatusCode::kIoError) << text;
+  }
+}
+
 }  // namespace
 }  // namespace capplan::repo

@@ -131,13 +131,21 @@ TEST(ModelRepositoryTest, CoefficientsSurviveSaveLoad) {
   EXPECT_TRUE(plain->ma_coef.empty());
 }
 
+// The registry row's coefficient columns: ';'-joined at full precision,
+// "" for none, a non-numeric element rejected.
 TEST(ModelRepositoryTest, CoefficientEncodingRoundTrip) {
-  EXPECT_EQ(EncodeCoefficients({}), "");
-  const std::vector<double> v = {0.5, -1.25, 3.0};
-  auto back = DecodeCoefficients(EncodeCoefficients(v));
+  StoredModel m = MakeModel("k", 1.0, 100);
+  m.ar_coef = {0.5, -1.25, 3.0};
+  const std::vector<std::string> row = EncodeFields(m);
+  EXPECT_EQ(row[6], "0.5;-1.25;3");
+  EXPECT_EQ(row[7], "");
+  auto back = DecodeFields<StoredModel>(row);
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(*back, v);
-  EXPECT_FALSE(DecodeCoefficients("0.5;abc").ok());
+  EXPECT_EQ(back->ar_coef, m.ar_coef);
+  EXPECT_TRUE(back->ma_coef.empty());
+  std::vector<std::string> bad = row;
+  bad[6] = "0.5;abc";
+  EXPECT_FALSE(DecodeFields<StoredModel>(bad).ok());
 }
 
 TEST(ModelRepositoryTest, LoadsLegacySixColumnFiles) {
@@ -191,24 +199,27 @@ TEST(ChampionChallengerTest, ExplicitGenerationIsPreservedOnReplay) {
   EXPECT_EQ(repo.Get("k")->generation, 7);
 }
 
+// A rollback is GetPrevious() (the target) then Reinstate() of it.
 TEST(ChampionChallengerTest, RollbackRestoresPreviousAndClearsSlot) {
   ModelRepository repo;
   repo.Promote(MakeModel("k", 10.0, 100));
   repo.Promote(MakeModel("k", 8.0, 200));
-  auto restored = repo.Rollback("k");
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(restored->generation, 1);
+  auto target = repo.GetPrevious("k");
+  ASSERT_TRUE(target.ok());
+  EXPECT_EQ(target->generation, 1);
+  repo.Reinstate(*target);
+  EXPECT_EQ(repo.Get("k")->generation, 1);
   EXPECT_DOUBLE_EQ(repo.Get("k")->test_rmse, 10.0);
   // The discarded model is exactly what went bad — it must never be rolled
   // back *to*; a second rollback needs a new promotion first.
   EXPECT_FALSE(repo.HasPrevious("k"));
-  EXPECT_FALSE(repo.Rollback("k").ok());
+  EXPECT_FALSE(repo.GetPrevious("k").ok());
 }
 
 TEST(ChampionChallengerTest, RollbackWithoutLineageIsNotFound) {
   ModelRepository repo;
   repo.Put(MakeModel("k", 10.0, 100));  // Put is lineage-neutral
-  EXPECT_FALSE(repo.Rollback("k").ok());
+  EXPECT_EQ(repo.GetPrevious("k").status().code(), StatusCode::kNotFound);
 }
 
 TEST(ChampionChallengerTest, ReinstateInstallsChampionAndClearsSlot) {

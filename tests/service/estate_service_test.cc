@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -302,6 +304,160 @@ TEST(EstateServiceTest, RecoversFromSnapshotPlusJournalSuffix) {
   ASSERT_EQ(recovered.ActiveAlerts().size(), 1u);
   EXPECT_EQ(recovered.FindHourly(recovered.keys()[0])->size(),
             1011u);
+  std::filesystem::remove_all(config.state_dir);
+}
+
+// A journal-only OLAP HES estate: two promotions put the first champion,
+// stamped with its final live MAPE, into the rollback slot. Recover must
+// rebuild the champion's warm-start coefficients and routed periods (what
+// /v1/decompose serves) and the slot's stamp, all from fit_ok lines.
+TEST(EstateServiceTest, RecoverFromJournalKeepsModelLineage) {
+  auto scenario = TestScenario();
+  scenario.n_instances = 1;
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("lineage");
+  config.snapshot_every_ticks = 0;  // journal-only recovery
+  config.staleness.max_age_seconds = 2 * kHour;  // second fit at tick 3
+  config.staleness.rmse_degradation_factor = 1e9;
+  const std::vector<WatchConfig> watches = {{0, workload::Metric::kCpu, 95.0}};
+
+  repo::StoredModel champion;
+  repo::StoredModel demoted;
+  {
+    EstateService service(&cluster, watches, config);
+    ASSERT_TRUE(service.Start().ok());
+    for (int tick = 1; tick <= 3; ++tick) {
+      ASSERT_TRUE(service.Tick().ok());
+      ASSERT_TRUE(service.DrainRefits().ok());
+    }
+    const std::string key = service.keys()[0];
+    auto model = service.registry().Get(key);
+    ASSERT_TRUE(model.ok());
+    champion = *model;
+    auto previous = service.registry().GetPrevious(key);
+    ASSERT_TRUE(previous.ok());
+    demoted = *previous;
+    EXPECT_EQ(champion.generation, 2);
+    EXPECT_FALSE(champion.periods.empty());
+    EXPECT_GE(demoted.live_mape, 0.0);  // scored before it was displaced
+  }
+
+  EstateService recovered(&cluster, watches, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  const std::string key = recovered.keys()[0];
+  auto model = recovered.registry().Get(key);
+  ASSERT_TRUE(model.ok());
+  EXPECT_EQ(model->periods, champion.periods);
+  EXPECT_EQ(model->ar_coef, champion.ar_coef);
+  EXPECT_EQ(model->ma_coef, champion.ma_coef);
+  EXPECT_EQ(model->generation, champion.generation);
+  EXPECT_EQ(model->promoted_at_epoch, champion.promoted_at_epoch);
+  auto previous = recovered.registry().GetPrevious(key);
+  ASSERT_TRUE(previous.ok());
+  EXPECT_EQ(previous->live_mape, demoted.live_mape);
+  EXPECT_EQ(previous->periods, demoted.periods);
+  EXPECT_EQ(previous->generation, demoted.generation);
+  std::filesystem::remove_all(config.state_dir);
+}
+
+// An alert's prognosis (predicted breach epoch, upper-only flag) moves with
+// the clock without a journal event of its own. Right after Recover the
+// active alerts must equal the live ones, prognosis included — from the
+// journal alone and from a snapshot plus suffix.
+TEST(EstateServiceTest, RecoverRestoresAlertPrognosesAsLive) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  for (const int snapshot_every : {0, 3}) {
+    auto config = FastConfig();
+    config.state_dir =
+        FreshStateDir("prognosis_" + std::to_string(snapshot_every));
+    config.snapshot_every_ticks = snapshot_every;
+    // Far below any CPU value: the breach is always the next forecast
+    // step, so the prognosis advances every tick.
+    const std::vector<WatchConfig> watches = {
+        {0, workload::Metric::kCpu, 0.01}};
+    std::vector<ServiceAlert> live;
+    {
+      EstateService service(&cluster, watches, config);
+      ASSERT_TRUE(service.Start().ok());
+      for (int tick = 1; tick <= 5; ++tick) {
+        ASSERT_TRUE(service.Tick().ok());
+        ASSERT_TRUE(service.DrainRefits().ok());
+      }
+      live = service.ActiveAlerts();
+      ASSERT_EQ(live.size(), 1u);
+      EXPECT_EQ(live[0].predicted_breach_epoch, service.now());
+      EXPECT_LT(live[0].raised_at_epoch, service.now());
+    }
+    EstateService recovered(&cluster, watches, config);
+    ASSERT_TRUE(recovered.Recover().ok());
+    const auto alerts = recovered.ActiveAlerts();
+    ASSERT_EQ(alerts.size(), 1u) << "snapshot_every " << snapshot_every;
+    EXPECT_EQ(alerts[0].key, live[0].key);
+    EXPECT_EQ(alerts[0].upper_only, live[0].upper_only);
+    EXPECT_EQ(alerts[0].predicted_breach_epoch, live[0].predicted_breach_epoch)
+        << "snapshot_every " << snapshot_every;
+    EXPECT_EQ(alerts[0].raised_at_epoch, live[0].raised_at_epoch);
+    std::filesystem::remove_all(config.state_dir);
+  }
+}
+
+// Journals written by earlier versions keep replaying: v1 lines (no span
+// id) and the 11-field (pre-ladder) and 13-field (pre-lineage) fit_ok
+// layouts install their models lineage-neutrally.
+TEST(EstateServiceTest, RecoverReplaysLegacyFitOkLayoutsAndV1Lines) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("legacy");
+  config.snapshot_every_ticks = 0;
+  const std::vector<WatchConfig> watches = {
+      {0, workload::Metric::kCpu, 95.0}, {1, workload::Metric::kCpu, 95.0}};
+  const std::string a = EstateService::KeyFor(cluster, watches[0]);
+  const std::string b = EstateService::KeyFor(cluster, watches[1]);
+  const std::int64_t t1 = cluster.start_epoch() + 42 * kDay + kHour;
+  const std::int64_t t2 = t1 + kHour;
+  const std::string e1 = std::to_string(t1);
+  const std::string forecast =
+      e1 + "|3600|0.95|10;11;12|9;10;11|11;12;13";
+  std::filesystem::create_directories(config.state_dir);
+  {
+    std::ofstream out(config.state_dir + "/journal.log");
+    out << "v1|" << e1 << "|quality|" << a << "|0.5|1|ok\n";
+    out << "v1|" << e1 << "|fit_ok|" << a << "|HES|ETS(A,N,N)|1.5|3.25|" << e1
+        << "|" << forecast << "\n";
+    out << "v2|" << e1 << "|fit_ok|0|" << b << "|HES|ETS(A,A,N)|2.5|4.5|"
+        << e1 << "|" << forecast << "|2|0.75\n";
+    out << "v1|" << e1 << "|tick|\n";
+    out << "v2|" << t2 << "|tick|0|\n";
+  }
+
+  EstateService recovered(&cluster, watches, config);
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(recovered.now(), t2);
+  EXPECT_EQ(recovered.tick_count(), 2u);
+  for (const std::string& key : {a, b}) {
+    auto model = recovered.registry().Get(key);
+    ASSERT_TRUE(model.ok()) << key;
+    EXPECT_EQ(model->fitted_at_epoch, t1);
+    EXPECT_EQ(model->generation, 0);  // lineage-neutral Put
+    EXPECT_FALSE(recovered.registry().HasPrevious(key));
+    auto entry = recovered.ScheduleFor(key);
+    ASSERT_TRUE(entry.ok());
+    EXPECT_EQ(entry->due_epoch, t1 + config.staleness.max_age_seconds);
+  }
+  EXPECT_EQ(recovered.registry().Get(a)->spec, "ETS(A,N,N)");
+  EXPECT_EQ(recovered.ForecastDegradation(a), core::DegradationLevel::kFull);
+  EXPECT_EQ(recovered.ForecastDegradation(b), core::DegradationLevel::kSes);
+  const auto view = recovered.View();
+  const auto* row = view->Find(a);
+  ASSERT_NE(row, nullptr);
+  ASSERT_TRUE(row->has_forecast);
+  EXPECT_EQ(row->spec, "HES ETS(A,N,N)");
+  EXPECT_EQ(row->forecast.mean, (std::vector<double>{10, 11, 12}));
+  ASSERT_EQ(recovered.quality_reports().count(a), 1u);
+  EXPECT_EQ(recovered.quality_reports().at(a).score, 0.5);
   std::filesystem::remove_all(config.state_dir);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "repo/csv.h"
+
 namespace capplan::service {
 namespace {
 
@@ -232,10 +234,12 @@ TEST(RetrainSchedulerTest, SaveLoadRoundTrip) {
   EXPECT_TRUE(sched.OnFailure("failing", 0));
 
   const std::string path = ::testing::TempDir() + "/sched_roundtrip.csv";
-  ASSERT_TRUE(sched.Save(path).ok());
+  ASSERT_TRUE(RetrainScheduler::SaveEntries(path, sched.Entries()).ok());
 
   RetrainScheduler loaded(policy);
-  ASSERT_TRUE(loaded.Load(path).ok());
+  auto entries = repo::ReadRows<ScheduleEntry>(path);
+  ASSERT_TRUE(entries.ok());
+  for (auto& entry : *entries) loaded.Restore(std::move(entry));
   EXPECT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded.Get("healthy")->due_epoch, 700);
   EXPECT_TRUE(loaded.IsQuarantined("failing"));
