@@ -61,11 +61,12 @@ double RunOnceMs(const std::vector<double>& train,
 }
 
 // Same selection workload, plus the flight-recorder hot path once per
-// candidate: one wide event (key + two attrs) and one exemplar-carrying
-// histogram observation — the shape ApplyOutcome and the serve handler
-// execute per unit of work. With `instrumented` false the loop records the
-// plain histogram observation only, which is the pre-flight-recorder
-// baseline the overhead is measured against.
+// candidate: one wide event (key + two attrs) through EventLog::EmitFinished
+// and one exemplar-carrying histogram observation — the shape the refit
+// commit and the serve handler execute per unit of work. With
+// `instrumented` false the loop records the plain histogram observation
+// only, which is the pre-flight-recorder baseline the overhead is measured
+// against.
 double RunOnceEventsMs(const std::vector<double>& train,
                        const std::vector<double>& test,
                        const std::vector<core::ModelCandidate>& candidates,
@@ -79,12 +80,12 @@ double RunOnceEventsMs(const std::vector<double>& train,
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     const double ms = 0.25 * static_cast<double>(i % 16);
     if (instrumented) {
-      obs::WideEvent ev;
-      ev.kind = obs::WideEventKind::kRefit;
-      ev.set_key("bench/candidate");
-      ev.AddAttr("index", static_cast<double>(i));
-      ev.AddAttr("wall_ms", ms);
-      const std::uint64_t id = events.Emit(ev);
+      const std::uint64_t id = events.EmitFinished(
+          obs::WideEventKind::kRefit, ms, [&](obs::WideEvent& ev) {
+            ev.set_key("bench/candidate");
+            ev.AddAttr("index", static_cast<double>(i));
+            ev.AddAttr("wall_ms", ms);
+          });
       hist->ObserveWithExemplar(ms, /*span_id=*/i + 1, id);
     } else {
       hist->Observe(ms);

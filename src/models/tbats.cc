@@ -270,92 +270,6 @@ Result<TbatsModel> TbatsModel::FitConfig(const std::vector<double>& y,
   return m;
 }
 
-Result<TbatsModel> TbatsModel::Fit(const std::vector<double>& y,
-                                   const std::vector<double>& periods,
-                                   const Options& options) {
-  // Positive data is required for the Box-Cox arm.
-  bool positive = true;
-  for (double v : y) {
-    if (v <= 0.0) {
-      positive = false;
-      break;
-    }
-  }
-
-  // Greedy harmonic selection per season under the base configuration.
-  TbatsConfig base;
-  base.use_trend = true;
-  for (double period : periods) {
-    TbatsSeason s;
-    s.period = period;
-    s.harmonics = 1;
-    base.seasons.push_back(s);
-  }
-  auto fit_or_inf = [&](const TbatsConfig& cfg) -> std::pair<double, Result<TbatsModel>> {
-    Result<TbatsModel> r = FitConfig(y, cfg, options.max_fit_iterations);
-    const double aic = r.ok() ? r->summary().aic : kInf;
-    return {aic, std::move(r)};
-  };
-
-  for (std::size_t s = 0; s < base.seasons.size(); ++s) {
-    double best_aic = kInf;
-    std::size_t best_k = 1;
-    for (std::size_t k = 1; k <= options.max_harmonics; ++k) {
-      if (2.0 * static_cast<double>(k) >= base.seasons[s].period) break;
-      base.seasons[s].harmonics = k;
-      const auto [aic, r] = fit_or_inf(base);
-      if (aic < best_aic - 1e-9) {
-        best_aic = aic;
-        best_k = k;
-      } else if (k > best_k) {
-        break;  // AIC stopped improving; keep the best found
-      }
-    }
-    base.seasons[s].harmonics = best_k;
-  }
-
-  // Option lattice.
-  std::vector<TbatsConfig> lattice;
-  std::vector<bool> boxcox_opts{false};
-  if (options.try_boxcox && positive) boxcox_opts.push_back(true);
-  std::vector<bool> trend_opts{true};
-  if (options.try_trend) trend_opts.push_back(false);
-  std::vector<std::pair<int, int>> arma_opts{{0, 0}};
-  if (options.try_arma) {
-    arma_opts.push_back({1, 0});
-    arma_opts.push_back({0, 1});
-    arma_opts.push_back({1, 1});
-  }
-  for (bool bc : boxcox_opts) {
-    for (bool tr : trend_opts) {
-      std::vector<bool> damp_opts{false};
-      if (options.try_damping && tr) damp_opts.push_back(true);
-      for (bool dp : damp_opts) {
-        for (const auto& [ap, aq] : arma_opts) {
-          TbatsConfig cfg = base;
-          cfg.use_boxcox = bc;
-          cfg.use_trend = tr;
-          cfg.use_damping = dp;
-          cfg.arma_p = ap;
-          cfg.arma_q = aq;
-          lattice.push_back(cfg);
-        }
-      }
-    }
-  }
-
-  double best_aic = kInf;
-  Result<TbatsModel> best = Status::ComputeError("TBATS: no config fitted");
-  for (const auto& cfg : lattice) {
-    auto [aic, r] = fit_or_inf(cfg);
-    if (aic < best_aic) {
-      best_aic = aic;
-      best = std::move(r);
-    }
-  }
-  return best;
-}
-
 Result<Forecast> TbatsModel::Predict(std::size_t horizon,
                                      double level) const {
   if (horizon == 0) {

@@ -44,7 +44,8 @@ struct TbatsConfig {
 class TbatsModel {
  public:
   struct Options {
-    // Option-lattice switches: each "try" flag allows both settings.
+    // Option-lattice switches for core/lattice/TbatsLattice, which selects
+    // the AIC-best configuration: each "try" flag allows both settings.
     bool try_boxcox = true;
     bool try_trend = true;
     bool try_damping = true;
@@ -57,16 +58,6 @@ class TbatsModel {
   static Result<TbatsModel> FitConfig(const std::vector<double>& y,
                                       const TbatsConfig& config,
                                       int max_iterations = 600);
-
-  // Explores the option lattice over the given seasonal periods (harmonic
-  // counts chosen greedily per season) and returns the AIC-best model.
-  static Result<TbatsModel> Fit(const std::vector<double>& y,
-                                const std::vector<double>& periods,
-                                const Options& options);
-  static Result<TbatsModel> Fit(const std::vector<double>& y,
-                                const std::vector<double>& periods) {
-    return Fit(y, periods, Options());
-  }
 
   Result<Forecast> Predict(std::size_t horizon, double level = 0.95) const;
 

@@ -4,17 +4,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <string_view>
-#include <vector>
+#include <utility>
+
+#include "obs/ring.h"
 
 namespace capplan::obs {
 
-// Flight recorder: one *wide event* per unit of work, kept in bounded
-// per-thread rings. Where a TraceSpan answers "where did the time go inside
-// this operation?", a wide event answers "which operations happened, to
-// which key, with what outcome?" — one self-contained record per HTTP
+// Flight recorder: one *wide event* per unit of work, kept in the bounded
+// per-thread rings of obs/ring.h. Where a TraceSpan answers "where did the
+// time go inside this operation?", a wide event answers "which operations
+// happened, to which key, with what outcome?" — one self-contained record per HTTP
 // request, refit, promotion/rollback, quality repair, tick overrun or store
 // seal/flush, carrying the ids (span, journal seq) needed to pivot into the
 // trace timeline and the journal. The /v1/debug/* handlers serve a merged
@@ -22,9 +22,9 @@ namespace capplan::obs {
 // queryable on-box without any external pipeline.
 //
 // Cost model matches obs::Tracer: disabled emission is one relaxed load and
-// a branch; enabled it is one ~160-byte ring write behind an uncontended
-// per-thread mutex. Rings overwrite their oldest events when full;
-// dropped()/total_dropped() count the overwrites.
+// a branch; enabled it is one obs::NowNs() read plus one ~160-byte ring
+// write behind an uncontended per-thread mutex. Rings overwrite their oldest
+// events when full; dropped()/total_dropped() count the overwrites.
 
 enum class WideEventKind : std::uint8_t {
   kHttpRequest = 0,
@@ -60,7 +60,7 @@ struct WideEvent {
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
   const char* outcome = "ok";  // static string: "ok", "error", "rejected"...
-  std::uint32_t tid = 0;
+  std::uint32_t tid = 0;  // obs::ThisThreadId() of the emitting thread
   std::uint8_t n_attrs = 0;
   Attr attrs[kMaxAttrs] = {};
 
@@ -75,81 +75,40 @@ struct WideEvent {
   }
 };
 
-// Injectable monotonic clock (nanoseconds); nullptr restores steady_clock.
-using EventClockFn = std::uint64_t (*)();
-
-class EventLog {
+// The wide-event recorder: a RingRecorder of WideEvents (Enable/Disable,
+// Snapshot, Drain, drop counts) plus the process-wide event-id counter.
+class EventLog : public RingRecorder<WideEvent> {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 4096;
 
   static EventLog& Instance();
 
-  void Enable(std::size_t events_per_thread = kDefaultRingCapacity);
-  void Disable();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  // Records `event` (filling id, tid, and span_id when unset) into the
-  // calling thread's ring. Returns the assigned event id, 0 when disabled.
-  std::uint64_t Emit(WideEvent event);
-
-  // Merged copy of every ring, oldest first, rings left intact — the debug
-  // handlers must not consume the recorder. Safe during concurrent Emits.
-  std::vector<WideEvent> Snapshot() const;
-
-  // Collects and clears every ring (same contract as Tracer::Drain).
-  std::vector<WideEvent> Drain();
-  void Clear() { (void)Drain(); }
-
-  // Events overwritten because a ring was full: since the last Drain, and
-  // cumulatively since process start (the `_total` metric source).
-  std::uint64_t dropped() const;
-  std::uint64_t total_dropped() const {
-    return total_dropped_.load(std::memory_order_relaxed);
+  // The emission path for a unit of work that just finished after `dur_ms`
+  // (measured by the caller). When enabled: builds a WideEvent of `kind`,
+  // lets `fill(WideEvent&)` set key, outcome, attrs and ids, stamps
+  // start_ns = NowNs() - dur from one clock read, and records it. Returns
+  // the assigned event id; 0 when disabled, in which case `fill` never runs.
+  template <typename Fill>
+  std::uint64_t EmitFinished(WideEventKind kind, double dur_ms, Fill&& fill) {
+    if (!enabled()) return 0;
+    WideEvent event;
+    event.kind = kind;
+    event.dur_ns = static_cast<std::uint64_t>(dur_ms * 1e6);
+    std::forward<Fill>(fill)(event);
+    const std::uint64_t now_ns = NowNs();
+    event.start_ns = now_ns > event.dur_ns ? now_ns - event.dur_ns : 0;
+    return Emit(event);
   }
 
-  void SetClockForTest(EventClockFn fn);
-  std::uint64_t NowNs() const;
+  // Records an already-stamped `event` (filling id, tid, and span_id when
+  // unset) into the calling thread's ring. Returns the assigned event id,
+  // 0 when disabled.
+  std::uint64_t Emit(WideEvent event);
 
  private:
-  struct Ring {
-    std::mutex mu;
-    std::vector<WideEvent> events;  // circular once size() == capacity
-    std::size_t capacity = kDefaultRingCapacity;
-    std::size_t next = 0;  // overwrite cursor once full
-    std::uint64_t dropped = 0;
-  };
+  EventLog() : RingRecorder(kDefaultRingCapacity) {}
 
-  EventLog() = default;
-  Ring* ThisThreadRing();
-
-  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_id_{0};
-  std::atomic<std::uint64_t> total_dropped_{0};
-  std::atomic<EventClockFn> clock_{nullptr};
-  std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<Ring>> rings_;
-};
-
-// RAII emitter for call sites that do not already measure their duration:
-// construction stamps start_ns, End()/destruction stamps dur_ns and emits.
-// Mutate event() freely in between (key, outcome, attrs).
-class WideEventScope {
- public:
-  explicit WideEventScope(WideEventKind kind);
-  ~WideEventScope() { End(); }
-
-  WideEventScope(const WideEventScope&) = delete;
-  WideEventScope& operator=(const WideEventScope&) = delete;
-
-  WideEvent& event() { return event_; }
-  // Emits now (the destructor becomes a no-op). Returns the event id.
-  std::uint64_t End();
-
- private:
-  WideEvent event_;
-  bool armed_ = false;
 };
 
 }  // namespace capplan::obs

@@ -70,7 +70,9 @@ void HistogramCell::ObserveWithExemplar(double v, std::uint64_t span_id,
   // can never interleave their field stores. Losing the race just drops
   // this exemplar — the slot only promises *some* recent observation. The
   // acquire on success keeps the field stores below from moving above the
-  // claim; the release store publishes them with the new even seq.
+  // claim. The field stores are releases so a reader that acquires one of
+  // them also sees the odd claim; the final release store publishes the
+  // triple with the new even seq.
   std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
   if (seq % 2 != 0 ||
       !slot.seq.compare_exchange_strong(seq, seq + 1,
@@ -78,9 +80,9 @@ void HistogramCell::ObserveWithExemplar(double v, std::uint64_t span_id,
                                         std::memory_order_relaxed)) {
     return;
   }
-  slot.value.store(v, std::memory_order_relaxed);
-  slot.span_id.store(span_id, std::memory_order_relaxed);
-  slot.event_id.store(event_id, std::memory_order_relaxed);
+  slot.value.store(v, std::memory_order_release);
+  slot.span_id.store(span_id, std::memory_order_release);
+  slot.event_id.store(event_id, std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);  // even: stable
 }
 
@@ -94,13 +96,14 @@ std::vector<Exemplar> HistogramCell::Exemplars() const {
       if (s1 % 2 != 0) continue;  // writer in flight
       Exemplar e;
       e.valid = true;
-      e.value = slot.value.load(std::memory_order_relaxed);
-      e.span_id = slot.span_id.load(std::memory_order_relaxed);
-      e.event_id = slot.event_id.load(std::memory_order_relaxed);
-      // Standard seqlock validation: the fence orders the relaxed data
-      // loads above before the re-read of seq (a plain acquire load would
-      // not), so an unchanged sequence proves the triple was not torn.
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Boehm's seqlock reader: acquire data loads keep the re-read of seq
+      // below from moving above them, and a load that sees a writer's field
+      // store also sees that writer's odd claim — so an unchanged sequence
+      // proves the triple was not torn. (No standalone fence: GCC's TSan
+      // does not model atomic_thread_fence and rejects it under -Werror.)
+      e.value = slot.value.load(std::memory_order_acquire);
+      e.span_id = slot.span_id.load(std::memory_order_acquire);
+      e.event_id = slot.event_id.load(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) == s1) {
         out[i] = e;
         break;

@@ -3,27 +3,22 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
+
+#include "obs/ring.h"
 
 namespace capplan::obs {
 
 // Low-overhead tracing for answering "where did this refit spend its 40
-// seconds?". RAII TraceSpans record complete events into per-thread ring
-// buffers; the global Tracer drains every ring into one timeline that the
-// Chrome-trace exporter (obs/export.h) turns into a chrome://tracing /
-// Perfetto flame view of a whole service run.
+// seconds?". RAII TraceSpans record complete events into the per-thread
+// rings of obs/ring.h; the global Tracer drains every ring into one
+// timeline that the Chrome-trace exporter (obs/export.h) turns into a
+// chrome://tracing / Perfetto flame view of a whole service run.
 //
 // Cost model: with tracing disabled a span is one relaxed atomic load and a
 // branch (safe to leave in per-candidate grid loops); enabled it is two
-// monotonic clock reads plus a ~64-byte ring write behind an uncontended
+// obs::NowNs() reads plus a ~64-byte ring write behind an uncontended
 // per-thread mutex — O(100ns). Rings are fixed-capacity and overwrite their
 // oldest events when full (dropped() counts the overwrites).
-
-// Injectable monotonic clock (nanoseconds) so tests see deterministic
-// timestamps/durations. nullptr restores the steady_clock default.
-using TraceClockFn = std::uint64_t (*)();
 
 struct TraceEvent {
   const char* name = "";      // static string: span site, e.g. "service.tick"
@@ -33,63 +28,25 @@ struct TraceEvent {
   std::uint64_t dur_ns = 0;
   std::uint64_t span_id = 0;    // unique per span, 1-based
   std::uint64_t parent_id = 0;  // enclosing span on the same thread, 0 = root
-  std::uint32_t tid = 0;        // small per-thread id, stable within a run
+  std::uint32_t tid = 0;        // obs::ThisThreadId() of the recording thread
 };
 
-class Tracer {
+// The span recorder: a RingRecorder of TraceEvents (Enable/Disable, Drain,
+// drop counts) plus the process-wide span-id counter.
+class Tracer : public RingRecorder<TraceEvent> {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 8192;
 
   static Tracer& Instance();
 
-  // Starts recording. `events_per_thread` caps each thread's ring; rings
-  // grow lazily up to the cap, so idle threads cost nothing.
-  void Enable(std::size_t events_per_thread = kDefaultRingCapacity);
-  // Stops recording. Events already buffered stay until Drain()/Clear().
-  void Disable();
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  // Collects and clears every thread's buffered events, sorted by start
-  // time. Safe to call while other threads keep recording.
-  std::vector<TraceEvent> Drain();
-  void Clear() { (void)Drain(); }
-
-  // Events overwritten because a ring was full, since the last Drain.
-  std::uint64_t dropped() const;
-  // Overwrites since process start (never reset by Drain) — backs the
-  // capplan_obs_trace_dropped_total metric.
-  std::uint64_t total_dropped() const {
-    return total_dropped_.load(std::memory_order_relaxed);
-  }
-
-  void SetClockForTest(TraceClockFn fn);
-  std::uint64_t NowNs() const;
-
  private:
   friend class TraceSpan;
-  struct Ring {
-    std::mutex mu;
-    std::vector<TraceEvent> events;  // circular once size() == capacity
-    std::size_t capacity = kDefaultRingCapacity;
-    std::size_t next = 0;  // overwrite cursor once full
-    std::uint64_t dropped = 0;
-  };
-
-  Tracer() = default;
-  void Record(const TraceEvent& event);
-  Ring* ThisThreadRing();
+  Tracer() : RingRecorder(kDefaultRingCapacity) {}
   std::uint64_t NextSpanId() {
     return next_span_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_span_id_{0};
-  std::atomic<std::uint64_t> total_dropped_{0};
-  std::atomic<TraceClockFn> clock_{nullptr};
-  std::atomic<std::size_t> ring_capacity_{kDefaultRingCapacity};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::shared_ptr<Ring>> rings_;
 };
 
 // Innermost active span id on the calling thread (0 when none). Journal

@@ -67,13 +67,19 @@ bool ModelRepository::IsStale(const std::string& key, std::int64_t now_epoch,
                               double current_rmse) const {
   auto it = models_.find(key);
   if (it == models_.end()) return true;
-  const StoredModel& m = it->second;
-  if (now_epoch - m.fitted_at_epoch > policy_.max_age_seconds) return true;
-  if (current_rmse >= 0.0 && m.test_rmse > 0.0 &&
-      current_rmse > policy_.rmse_degradation_factor * m.test_rmse) {
+  if (now_epoch - it->second.fitted_at_epoch > policy_.max_age_seconds) {
     return true;
   }
-  return false;
+  return IsDegraded(key, current_rmse);
+}
+
+bool ModelRepository::IsDegraded(const std::string& key,
+                                 double current_rmse) const {
+  auto it = models_.find(key);
+  if (it == models_.end() || current_rmse < 0.0) return false;
+  const StoredModel& m = it->second;
+  return m.test_rmse > 0.0 &&
+         current_rmse > policy_.rmse_degradation_factor * m.test_rmse;
 }
 
 bool IsKnownTechnique(const std::string& technique) {

@@ -110,6 +110,10 @@ class ModelRepository {
   // policy factor.
   bool IsStale(const std::string& key, std::int64_t now_epoch,
                double current_rmse = -1.0) const;
+  // The degradation half of IsStale alone: true when `key` has a stored
+  // model and `current_rmse` (negative = unknown) exceeds the policy factor
+  // times its held-out RMSE.
+  bool IsDegraded(const std::string& key, double current_rmse) const;
 
   const StalenessPolicy& policy() const { return policy_; }
 

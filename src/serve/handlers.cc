@@ -234,20 +234,13 @@ HttpResponse EstateQueryHandler::Dispatch(
   // One wide event per rendered request; its id plus the request span id
   // become the latency histogram's exemplar for the bucket this request
   // landed in, so a p99 spike links straight back to the evidence.
-  obs::EventLog& events = obs::EventLog::Instance();
-  std::uint64_t event_id = 0;
-  if (events.enabled()) {
-    obs::WideEvent ev;
-    ev.kind = obs::WideEventKind::kHttpRequest;
-    ev.set_key(request.path);
-    ev.span_id = span.id();
-    ev.outcome = response.status < 400 ? "ok" : "error";
-    ev.dur_ns = static_cast<std::uint64_t>(elapsed_ms * 1e6);
-    const std::uint64_t now_ns = events.NowNs();
-    ev.start_ns = now_ns >= ev.dur_ns ? now_ns - ev.dur_ns : 0;
-    ev.AddAttr("status", static_cast<double>(response.status));
-    event_id = events.Emit(ev);
-  }
+  const std::uint64_t event_id = obs::EventLog::Instance().EmitFinished(
+      obs::WideEventKind::kHttpRequest, elapsed_ms, [&](obs::WideEvent& ev) {
+        ev.set_key(request.path);
+        ev.span_id = span.id();
+        ev.outcome = response.status < 400 ? "ok" : "error";
+        ev.AddAttr("status", static_cast<double>(response.status));
+      });
   metrics->requests.Inc();
   metrics->latency.ObserveWithExemplar(elapsed_ms, span.id(), event_id);
   if (options_.slos != nullptr) {

@@ -278,8 +278,10 @@ void EstateService::CheckStalenessShard(EstateShard* shard,
       }
     }
     // The age half of the policy is already encoded in the schedule (due =
-    // fitted_at + max_age); this pulls the refit forward on degradation.
-    if (registry_.IsStale(key, now, live_rmse)) {
+    // fitted_at + max_age, or the challenger's next_due after a rejected
+    // promotion, which leaves the champion's fitted_at behind); only
+    // degradation pulls the refit forward.
+    if (registry_.IsDegraded(key, live_rmse)) {
       shard->scheduler.PullForward(key, now);
     }
   }
@@ -462,22 +464,16 @@ EstateService::ShardTickOutput EstateService::TickShard(EstateShard* shard,
     // state machine by the driver after the join.
     ++shard->tick_overruns;
     ++shard->telemetry->tick_overruns;
-    obs::EventLog& events = obs::EventLog::Instance();
-    if (events.enabled()) {
-      obs::WideEvent ev;
-      ev.kind = obs::WideEventKind::kTickOverrun;
-      ev.set_key("shard.tick");
-      ev.shard = static_cast<std::int32_t>(shard->id);
-      ev.span_id = span.id();
-      ev.dur_ns = static_cast<std::uint64_t>(tick_ms * 1e6);
-      const std::uint64_t now_ns = events.NowNs();
-      ev.start_ns = now_ns >= ev.dur_ns ? now_ns - ev.dur_ns : 0;
-      ev.outcome = "overrun";
-      ev.AddAttr("deadline_ms", config_.guardrail.tick_deadline_ms);
-      ev.AddAttr("samples_ingested",
-                 static_cast<double>(out.samples_ingested));
-      events.Emit(ev);
-    }
+    obs::EventLog::Instance().EmitFinished(
+        obs::WideEventKind::kTickOverrun, tick_ms, [&](obs::WideEvent& ev) {
+          ev.set_key("shard.tick");
+          ev.shard = static_cast<std::int32_t>(shard->id);
+          ev.span_id = span.id();
+          ev.outcome = "overrun";
+          ev.AddAttr("deadline_ms", config_.guardrail.tick_deadline_ms);
+          ev.AddAttr("samples_ingested",
+                     static_cast<double>(out.samples_ingested));
+        });
   }
   return out;
 }
@@ -815,20 +811,15 @@ std::uint64_t EstateService::EmitEvent(
     const char* outcome,
     std::initializer_list<std::pair<const char*, double>> attrs,
     double dur_ms) {
-  obs::EventLog& events = obs::EventLog::Instance();
-  if (!events.enabled()) return 0;
-  obs::WideEvent ev;
-  ev.kind = kind;
-  ev.set_key(key);
-  ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
-  ev.span_id = span_id;
-  ev.journal_seq = journal_seq_;
-  ev.dur_ns = static_cast<std::uint64_t>(dur_ms * 1e6);
-  const std::uint64_t now_ns = events.NowNs();
-  ev.start_ns = now_ns > ev.dur_ns ? now_ns - ev.dur_ns : 0;
-  ev.outcome = outcome;
-  for (const auto& [name, value] : attrs) ev.AddAttr(name, value);
-  return events.Emit(ev);
+  return obs::EventLog::Instance().EmitFinished(
+      kind, dur_ms, [&](obs::WideEvent& ev) {
+        ev.set_key(key);
+        ev.shard = static_cast<std::int32_t>(ShardOfKey(key));
+        ev.span_id = span_id;
+        ev.journal_seq = journal_seq_;
+        ev.outcome = outcome;
+        for (const auto& [name, value] : attrs) ev.AddAttr(name, value);
+      });
 }
 
 void EstateService::EvaluateHealth() {

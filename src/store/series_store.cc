@@ -83,32 +83,24 @@ Status SeriesStore::SealFront(std::size_t n) {
   SealedBlock block = SealBlock(block_start, step_seconds_, run);
   hot_.DropFront(n);
   sealed_count_ += n;
+  const double seal_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
   if (stats_ != nullptr) {
     stats_->hot_bytes -= n * sizeof(double);
     stats_->sealed_bytes += block.compressed_bytes();
     stats_->sealed_raw_bytes += block.raw_bytes();
     ++stats_->blocks_sealed;
-    stats_->seal_ms.Observe(
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    stats_->seal_ms.Observe(seal_ms);
   }
-  obs::EventLog& events = obs::EventLog::Instance();
-  if (events.enabled()) {
-    obs::WideEvent ev;
-    ev.kind = obs::WideEventKind::kStoreSeal;
-    ev.set_key("store.seal");
-    ev.span_id = span.id();
-    ev.dur_ns = static_cast<std::uint64_t>(
-        std::chrono::duration<double, std::nano>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
-    ev.AddAttr("samples", static_cast<double>(n));
-    ev.AddAttr("compressed_bytes",
-               static_cast<double>(block.compressed_bytes()));
-    events.Emit(ev);
-  }
+  obs::EventLog::Instance().EmitFinished(
+      obs::WideEventKind::kStoreSeal, seal_ms, [&](obs::WideEvent& ev) {
+        ev.set_key("store.seal");
+        ev.span_id = span.id();
+        ev.AddAttr("samples", static_cast<double>(n));
+        ev.AddAttr("compressed_bytes",
+                   static_cast<double>(block.compressed_bytes()));
+      });
   blocks_.push_back(std::move(block));
   return Status::OK();
 }

@@ -151,17 +151,12 @@ Status TieredStore::Flush(const std::string& path) const {
                               std::chrono::steady_clock::now() - t0)
                               .count();
   flush_ms_.Observe(flush_ms);
-  obs::EventLog& events = obs::EventLog::Instance();
-  if (events.enabled()) {
-    obs::WideEvent ev;
-    ev.kind = obs::WideEventKind::kStoreFlush;
-    ev.set_key(path);
-    ev.span_id = span.id();
-    ev.dur_ns = static_cast<std::uint64_t>(flush_ms * 1e6);
-    ev.start_ns = events.NowNs() > ev.dur_ns ? events.NowNs() - ev.dur_ns : 0;
-    ev.AddAttr("series", static_cast<double>(out.size()));
-    events.Emit(ev);
-  }
+  obs::EventLog::Instance().EmitFinished(
+      obs::WideEventKind::kStoreFlush, flush_ms, [&](obs::WideEvent& ev) {
+        ev.set_key(path);
+        ev.span_id = span.id();
+        ev.AddAttr("series", static_cast<double>(out.size()));
+      });
   return Status::OK();
 }
 

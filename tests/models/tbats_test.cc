@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lattice/tbats_lattice.h"
 #include "tsa/metrics.h"
 
 namespace capplan::models {
@@ -112,14 +113,15 @@ TEST(TbatsFitTest, RejectsShortSeries) {
 
 TEST(TbatsLatticeTest, SelectsByAicAndForecastsWell) {
   const auto y = SeasonalSeries(24 * 15, 24.0, 8.0, 60.0, 0.05, 0.4, 5);
-  TbatsModel::Options opts;
-  opts.max_harmonics = 2;
-  opts.try_boxcox = false;  // keep the test fast
-  opts.try_damping = false;
-  opts.max_fit_iterations = 250;
-  auto m = TbatsModel::Fit(y, {24.0}, opts);
-  ASSERT_TRUE(m.ok());
-  auto fc = m->Predict(24);
+  core::lattice::TbatsLatticeOptions opts;
+  opts.model.max_harmonics = 2;
+  opts.model.try_boxcox = false;  // keep the test fast
+  opts.model.try_damping = false;
+  opts.model.max_fit_iterations = 250;
+  opts.prune = false;  // the exhaustive oracle: every config at full budget
+  auto sel = core::lattice::TbatsLattice(opts).Select(y, {24.0});
+  ASSERT_TRUE(sel.ok());
+  auto fc = sel->model.Predict(24);
   ASSERT_TRUE(fc.ok());
   std::vector<double> expected(24);
   for (std::size_t h = 0; h < 24; ++h) {

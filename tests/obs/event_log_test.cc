@@ -27,7 +27,7 @@ class EventLogTest : public ::testing::Test {
   void TearDown() override {
     EventLog::Instance().Disable();
     EventLog::Instance().Clear();
-    EventLog::Instance().SetClockForTest(nullptr);
+    SetClockForTest(nullptr);
   }
 };
 
@@ -97,13 +97,19 @@ TEST_F(EventLogTest, AttrsCapAtMaxAttrs) {
             static_cast<double>(WideEvent::kMaxAttrs - 1));
 }
 
+// A thread's ring capacity is latched when the ring is created, so the
+// capped recordings below run on fresh threads: the test thread's ring may
+// already exist when every test shares one process.
 TEST_F(EventLogTest, FullRingOverwritesOldestAndCountsDrops) {
   EventLog& log = EventLog::Instance();
   log.Enable(/*events_per_thread=*/4);
   std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 10; ++i) {
-    ids.push_back(log.Emit(Event(WideEventKind::kRefit, "k")));
-  }
+  std::thread emitter([&] {
+    for (int i = 0; i < 10; ++i) {
+      ids.push_back(log.Emit(Event(WideEventKind::kRefit, "k")));
+    }
+  });
+  emitter.join();
   const auto events = log.Snapshot();
   ASSERT_EQ(events.size(), 4u);
   // Oldest-first unwrap: the survivors are the last four emitted, in order.
@@ -127,7 +133,10 @@ TEST_F(EventLogTest, SnapshotIsNonDestructiveDrainClears) {
 TEST_F(EventLogTest, TotalDroppedSurvivesDrain) {
   EventLog& log = EventLog::Instance();
   log.Enable(/*events_per_thread=*/2);
-  for (int i = 0; i < 5; ++i) log.Emit(Event(WideEventKind::kRefit, "k"));
+  std::thread emitter([&log] {
+    for (int i = 0; i < 5; ++i) log.Emit(Event(WideEventKind::kRefit, "k"));
+  });
+  emitter.join();
   EXPECT_EQ(log.dropped(), 3u);
   const std::uint64_t total_before = log.total_dropped();
   (void)log.Drain();
@@ -154,31 +163,49 @@ TEST_F(EventLogTest, KindNamesRoundTrip) {
 }
 
 TEST_F(EventLogTest, InjectedClockDrivesTimestamps) {
-  EventLog& log = EventLog::Instance();
-  log.SetClockForTest(+[]() -> std::uint64_t { return 123456789ull; });
-  EXPECT_EQ(log.NowNs(), 123456789ull);
-  log.SetClockForTest(nullptr);
-  EXPECT_GT(log.NowNs(), 0u);
+  SetClockForTest(+[]() -> std::uint64_t { return 123456789ull; });
+  EXPECT_EQ(NowNs(), 123456789ull);
+  SetClockForTest(nullptr);
+  EXPECT_GT(NowNs(), 0u);
 }
 
-TEST_F(EventLogTest, ScopeStampsDurationAndEmitsOnce) {
+// The one emission path: the caller's measured duration, one clock read,
+// start_ns back-dated from it, and nothing built while disabled.
+TEST_F(EventLogTest, EmitFinishedStampsStartFromOneClockRead) {
   EventLog& log = EventLog::Instance();
+  bool filled = false;
+  EXPECT_EQ(log.EmitFinished(WideEventKind::kStoreFlush, 1.0,
+                             [&filled](WideEvent&) { filled = true; }),
+            0u);
+  EXPECT_FALSE(filled);  // disabled: the fill never runs
+
+  static std::atomic<int> reads{0};
+  reads.store(0);
+  SetClockForTest(+[]() -> std::uint64_t {
+    reads.fetch_add(1);
+    return 10'000'000ull;
+  });
   log.Enable();
-  std::uint64_t id = 0;
-  {
-    WideEventScope scope(WideEventKind::kStoreFlush);
-    scope.event().set_key("scoped");
-    scope.event().outcome = "error";
-    id = scope.End();
-    // The destructor must not double-emit after an explicit End().
-  }
+  const std::uint64_t id = log.EmitFinished(
+      WideEventKind::kStoreFlush, 0.004, [](WideEvent& ev) {
+        ev.set_key("flushed");
+        ev.outcome = "error";
+      });
+  EXPECT_EQ(reads.load(), 1);
   ASSERT_GT(id, 0u);
   const auto events = log.Snapshot();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].id, id);
-  EXPECT_STREQ(events[0].key, "scoped");
+  EXPECT_EQ(events[0].kind, WideEventKind::kStoreFlush);
+  EXPECT_STREQ(events[0].key, "flushed");
   EXPECT_STREQ(events[0].outcome, "error");
-  EXPECT_GT(events[0].start_ns, 0u);
+  EXPECT_EQ(events[0].dur_ns, 4000u);
+  EXPECT_EQ(events[0].start_ns, 10'000'000u - 4000u);
+  EXPECT_EQ(events[0].tid, ThisThreadId());
+
+  // A duration longer than the clock's reading clamps the start to 0.
+  log.EmitFinished(WideEventKind::kStoreFlush, 20.0, [](WideEvent&) {});
+  EXPECT_EQ(log.Snapshot().at(0).start_ns, 0u);
 }
 
 // Hammer for TSan: many pool threads emitting concurrently with snapshot
@@ -188,6 +215,7 @@ TEST_F(EventLogTest, ScopeStampsDurationAndEmitsOnce) {
 TEST_F(EventLogTest, ConcurrentEmitSnapshotDrainFromThreadPool) {
   EventLog& log = EventLog::Instance();
   log.Enable(/*events_per_thread=*/256);
+  const std::uint64_t dropped_before = log.total_dropped();  // cumulative
   constexpr int kJobs = 32;
   constexpr int kEventsPerJob = 200;
 
@@ -222,7 +250,7 @@ TEST_F(EventLogTest, ConcurrentEmitSnapshotDrainFromThreadPool) {
   std::set<std::uint64_t> ids;
   for (const WideEvent& e : events) ids.insert(e.id);
   EXPECT_EQ(ids.size(), events.size());  // ids unique across all rings
-  EXPECT_EQ(events.size() + log.total_dropped(),
+  EXPECT_EQ(events.size() + (log.total_dropped() - dropped_before),
             static_cast<std::size_t>(kJobs) * kEventsPerJob);
 }
 

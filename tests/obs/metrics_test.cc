@@ -1,8 +1,10 @@
 #include "obs/metrics.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +201,44 @@ TEST(RegistryTest, ConcurrentRecordingKeepsExactTotals) {
   EXPECT_EQ(h.count(), kThreads * kPerThread);
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 199.0);
+}
+
+// Exemplar seqlock contract: writers racing on one bucket's slot while the
+// scrape path reads it. Every writer stores value == span_id == event_id, so
+// a triple assembled from two different observations shows up as a
+// mismatch. Run under TSan in CI.
+TEST(RegistryTest, ConcurrentExemplarsAreNeverTorn) {
+  MetricsRegistry registry;
+  Histogram h = registry.GetHistogram("exemplar_ms", {1e15});
+  constexpr std::size_t kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 20000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const MetricsSnapshot snap = registry.Collect();
+      for (const Exemplar& e : snap.samples.at(0).exemplars) {
+        if (!e.valid) continue;
+        ASSERT_EQ(e.span_id, e.event_id);
+        ASSERT_EQ(static_cast<double>(e.span_id), e.value);
+      }
+    }
+  });
+  {
+    ThreadPool pool(kWriters);
+    pool.ParallelFor(kWriters, [&](std::size_t t) {
+      for (std::uint64_t i = 1; i <= kPerWriter; ++i) {
+        const std::uint64_t id = t * kPerWriter + i;
+        h.ObserveWithExemplar(static_cast<double>(id), id, id);
+      }
+    });
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  const std::vector<Exemplar> last = registry.Collect().samples.at(0).exemplars;
+  ASSERT_TRUE(last.at(0).valid);
+  EXPECT_EQ(last[0].span_id, last[0].event_id);
+  EXPECT_EQ(static_cast<double>(last[0].span_id), last[0].value);
+  EXPECT_EQ(h.count(), kWriters * kPerWriter);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "obs/event_log.h"
 
 namespace capplan::obs {
 namespace {
@@ -19,21 +20,26 @@ namespace {
 std::atomic<std::uint64_t> g_fake_now{0};
 std::uint64_t FakeNow() { return g_fake_now.fetch_add(1000) + 1000; }
 
-// The Tracer is a process-global singleton; every test starts from a
-// disabled tracer with empty rings and the fake clock, and leaves it that
-// way for unrelated suites in the same binary.
+// The Tracer, the EventLog and the obs clock are process-global; every
+// test starts from disabled recorders with empty rings and the fake clock,
+// and leaves them disabled and empty, on the real clock, for unrelated
+// suites in the same binary.
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Tracer::Instance().Disable();
-    Tracer::Instance().Clear();
+    Reset();
     g_fake_now.store(0);
-    Tracer::Instance().SetClockForTest(&FakeNow);
+    SetClockForTest(&FakeNow);
   }
   void TearDown() override {
+    Reset();
+    SetClockForTest(nullptr);
+  }
+  static void Reset() {
     Tracer::Instance().Disable();
     Tracer::Instance().Clear();
-    Tracer::Instance().SetClockForTest(nullptr);
+    EventLog::Instance().Disable();
+    EventLog::Instance().Clear();
   }
 };
 
@@ -169,6 +175,57 @@ TEST_F(TraceTest, DrainCollectsSpansFromPoolWorkers) {
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].start_ns, events[i - 1].start_ns);  // one timeline
   }
+}
+
+// The flight recorder exists to pivot from a wide event into the trace
+// timeline, so both records name their thread with the same id. Spans on a
+// first thread advance the id counter before the second thread records
+// anything, so two separate per-recorder counters would disagree.
+TEST_F(TraceTest, SpanAndWideEventShareThreadId) {
+  Tracer::Instance().Enable();
+  EventLog::Instance().Enable();
+  std::thread a([] {
+    TraceSpan span("a.work", "test");
+  });
+  a.join();
+  std::uint64_t event_id = 0;
+  std::thread b([&event_id] {
+    TraceSpan span("b.work", "test");
+    event_id = EventLog::Instance().EmitFinished(
+        WideEventKind::kRefit, 0.0, [](WideEvent& ev) { ev.set_key("b"); });
+  });
+  b.join();
+  const std::vector<TraceEvent> spans = Tracer::Instance().Drain();
+  const std::vector<WideEvent> events = EventLog::Instance().Drain();
+  ASSERT_EQ(spans.size(), 2u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].id, event_id);
+  EXPECT_STREQ(spans[1].name, "b.work");
+  EXPECT_NE(spans[0].tid, spans[1].tid);
+  EXPECT_EQ(events[0].tid, spans[1].tid);
+  EXPECT_EQ(events[0].span_id, spans[1].span_id);
+}
+
+// One injected clock stamps both recorders: the span's open and close and
+// the wide event's single read come off the same fake-clock sequence.
+TEST_F(TraceTest, OneInjectedClockStampsSpansAndWideEvents) {
+  Tracer::Instance().Enable();
+  EventLog::Instance().Enable();
+  {
+    TraceSpan span("test.unit", "test");  // open: clock reads 1000
+    // Emission reads 2000 and back-dates by the measured 0.0005 ms.
+    EventLog::Instance().EmitFinished(WideEventKind::kStoreFlush, 0.0005,
+                                      [](WideEvent&) {});
+  }  // close: clock reads 3000
+  const std::vector<TraceEvent> spans = Tracer::Instance().Drain();
+  const std::vector<WideEvent> events = EventLog::Instance().Drain();
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(spans[0].start_ns, 1000u);
+  EXPECT_EQ(spans[0].dur_ns, 2000u);
+  EXPECT_EQ(events[0].start_ns, 1500u);
+  EXPECT_EQ(events[0].dur_ns, 500u);
+  EXPECT_EQ(NowNs(), 4000u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -610,6 +611,57 @@ TEST(EstateServiceTest, PromotionGateRejectsRegressedChallenger) {
   auto entry = service.ScheduleFor(key);
   ASSERT_TRUE(entry.ok());
   EXPECT_GT(entry->due_epoch, service.now());
+}
+
+// A rejected challenger journals the key's next due time, and the champion
+// it failed to replace keeps its old fitted_at. That champion is then
+// older than max_age, but the age half of the staleness policy lives in the
+// schedule: the key must wait for the journalled next_due rather than be
+// pulled forward (and refitted) on every later tick.
+TEST(EstateServiceTest, RejectedChallengerKeepsItsNextDue) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.state_dir = FreshStateDir("rejected_next_due");
+  config.staleness.max_age_seconds = 4 * kHour;     // refit due at tick 5
+  config.staleness.rmse_degradation_factor = 1e9;   // age-only refits
+  config.guardrail.promotion_min_scored = 2;
+  EstateService service(&cluster, {{0, workload::Metric::kCpu, 95.0}},
+                        config);
+  const std::string key = service.keys()[0];
+  ASSERT_TRUE(service.Start().ok());
+  for (int tick = 1; tick <= 4; ++tick) {
+    ASSERT_TRUE(service.Tick().ok());
+    ASSERT_TRUE(service.DrainRefits().ok());
+  }
+  {
+    ScopedFault poison("pipeline.poison_fit", FaultPlan::FailForever());
+    ASSERT_TRUE(service.Tick().ok());
+    ASSERT_TRUE(service.DrainRefits().ok());
+  }
+  ASSERT_EQ(service.telemetry().promotions_rejected, 1u);
+
+  auto journal = ReadEvents(config.state_dir + "/journal.log");
+  ASSERT_TRUE(journal.ok());
+  std::int64_t next_due = 0;
+  for (const Event& e : *journal) {
+    if (const auto* p = std::get_if<PromotionEvent>(&e.payload)) {
+      next_due = p->next_due;
+    }
+  }
+  ASSERT_GT(next_due, service.now() + kHour);  // not due on the next tick
+  auto entry = service.ScheduleFor(key);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->due_epoch, next_due);
+
+  auto report = service.Tick();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->refits_dispatched, 0u);
+  ASSERT_TRUE(service.DrainRefits().ok());
+  entry = service.ScheduleFor(key);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->due_epoch, next_due);
+  std::filesystem::remove_all(config.state_dir);
 }
 
 }  // namespace

@@ -152,15 +152,15 @@ TEST_P(EstateServiceReducerTest, RecoverEqualsLiveAfterEveryTick) {
 
   // The schedule. Faults fire on the first fit of the tick; the dead key
   // fails in the sentinel before any of these sites. Live scoring of a
-  // champion starts one tick after its promotion; a champion older than
-  // the age limit is pulled forward every tick.
+  // champion starts one tick after its promotion; a key is due every
+  // max_age (2 ticks) after its last refit, promoted or rejected.
   const std::map<int, const char*> faults = {
       // tick 3: a clean refit is promoted (too few scored hours to gate).
       {5, "pipeline.poison_fit"},       // challenger rejected at the gate
-      {6, "pipeline.poison_forecast"},  // promoted; the alert is raised
-      {8, "pipeline.run"},              // refit fails, backs off
-      {9, "pipeline.run"},              // fails again: quarantined
-      // tick 10: four hours scored against the poisoned champion — rolled
+      {7, "pipeline.poison_forecast"},  // promoted; the alert is raised
+      {9, "pipeline.run"},              // refit fails, backs off
+      {10, "pipeline.run"},             // fails again: quarantined
+      // tick 11: four hours scored against the poisoned champion — rolled
       // back while its key is quarantined; the alert clears.
   };
   // Tick -> watch released after it.
