@@ -1,29 +1,33 @@
 #include "common/fields.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace capplan {
 
-namespace {
-
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+void FieldWriter::Write(std::string_view v) {
+  Separate();
+  if (format_ == FieldFormat::kJournal) {
+    for (char c : v) {
+      out_->push_back(c == '|' || c == '\n' || c == '\r' ? '/' : c);
+    }
+  } else if (v.find_first_of(",\"\n") == std::string_view::npos) {
+    out_->append(v);
+  } else {
+    out_->push_back('"');
+    for (char c : v) {
+      if (c == '"') out_->push_back('"');
+      out_->push_back(c);
+    }
+    out_->push_back('"');
+  }
 }
 
-}  // namespace
-
-void FieldWriter::Write(double v) { fields_.push_back(FormatDouble(v)); }
-
 void FieldWriter::Write(const std::vector<double>& v) {
-  std::string out;
+  Separate();
   for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ';';
-    out += FormatDouble(v[i]);
+    if (i > 0) out_->push_back(';');
+    AppendDouble(out_, v[i]);
   }
-  fields_.push_back(std::move(out));
 }
 
 const std::string* FieldReader::Next() {

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/number_format.h"
+
 namespace capplan {
 
 // Minimal JSON writer shared by the report and telemetry serializers:
@@ -126,26 +128,8 @@ class JsonWriter {
       out_ << "null";
       return;
     }
-    char buf[40];
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-      // Integral values print as integers ("10", not "1e+01").
-      std::snprintf(buf, sizeof(buf), "%.0f", v);
-      out_ << buf;
-      return;
-    }
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Trim to shortest representation that round-trips.
-    for (int prec = 1; prec < 17; ++prec) {
-      char probe[40];
-      std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-      double back = 0.0;
-      std::sscanf(probe, "%lf", &back);
-      if (back == v) {
-        out_ << probe;
-        return;
-      }
-    }
-    out_ << buf;
+    char buf[kNumberChars];
+    out_.write(buf, FormatShortest(buf, v) - buf);
   }
 
   std::ostringstream out_;

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "common/json_writer.h"
+#include "common/number_format.h"
 
 namespace capplan::obs {
 
@@ -19,19 +19,8 @@ namespace {
 std::string FormatPromValue(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[40];
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  for (int prec = 1; prec < 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == v) return buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  char buf[kNumberChars];
+  return std::string(buf, FormatShortest(buf, v));
 }
 
 void AppendLabelValue(std::string* out, const std::string& v) {

@@ -1,30 +1,11 @@
 #include "repo/csv.h"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
-
-#include "common/fault.h"
 
 namespace capplan::repo {
 
 namespace {
-
-bool NeedsQuoting(const std::string& field) {
-  return field.find_first_of(",\"\n") != std::string::npos;
-}
-
-std::string QuoteField(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 // Splits one CSV record (already newline-free except inside quotes is not
 // supported for simplicity; WriteCsv never emits embedded newlines from this
@@ -59,35 +40,13 @@ std::vector<std::string> SplitRecord(const std::string& line) {
   return fields;
 }
 
-std::string FormatDouble(double v) {
-  if (std::isnan(v)) return "nan";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 Status WriteCsv(const std::string& path, const CsvTable& table) {
-  CAPPLAN_RETURN_NOT_OK(FaultHit("csv.write"));
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IoError("WriteCsv: cannot open " + path);
-  }
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out << ',';
-      out << QuoteField(row[i]);
-    }
-    out << '\n';
-  };
-  if (!table.header.empty()) write_row(table.header);
-  for (const auto& row : table.rows) write_row(row);
-  out.flush();
-  if (!out) {
-    return Status::IoError("WriteCsv: write failed for " + path);
-  }
-  return Status::OK();
+  return WriteRows(path, table.header, table.rows,
+                   [](FieldWriter& fields, const std::vector<std::string>& row) {
+                     for (const std::string& field : row) fields(field);
+                   });
 }
 
 Result<CsvTable> ReadCsv(const std::string& path) {
@@ -115,21 +74,25 @@ Result<CsvTable> ReadCsv(const std::string& path) {
 Status WriteSeriesCsv(const std::string& path,
                       const tsa::TimeSeries& series) {
   CAPPLAN_RETURN_NOT_OK(FaultHit("csv.write_series"));
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::IoError("WriteSeriesCsv: cannot open " + path);
-  }
-  out << "# " << QuoteField(series.name()) << "," << series.start_epoch()
-      << "," << static_cast<int>(series.frequency()) << "\n";
-  out << "epoch,value\n";
+  FileSink sink(path);
+  std::string& buffer = sink.buffer();
+  buffer += "# ";
+  FieldWriter meta(&buffer, FieldFormat::kCsv);
+  meta(series.name(), series.start_epoch(),
+       static_cast<int>(series.frequency()));
+  buffer += "\nepoch,value\n";
   for (std::size_t i = 0; i < series.size(); ++i) {
-    out << series.TimestampAt(i) << "," << FormatDouble(series[i]) << "\n";
+    AppendInteger(&buffer, series.TimestampAt(i));
+    buffer.push_back(',');
+    if (std::isnan(series[i])) {
+      buffer += "nan";  // the format's one NaN spelling, either sign
+    } else {
+      AppendDouble(&buffer, series[i]);
+    }
+    buffer.push_back('\n');
+    sink.MaybeFlush();
   }
-  out.flush();
-  if (!out) {
-    return Status::IoError("WriteSeriesCsv: write failed for " + path);
-  }
-  return Status::OK();
+  return sink.Close();
 }
 
 Result<tsa::TimeSeries> ReadSeriesCsv(const std::string& path) {

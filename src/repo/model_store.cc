@@ -91,13 +91,13 @@ bool IsKnownTechnique(const std::string& technique) {
 
 Status ModelRepository::Save(const std::string& path) const {
   CAPPLAN_RETURN_NOT_OK(FaultHit("model_store.save"));
-  std::vector<StoredModel> rows;
-  for (const auto& [_, m] : models_) rows.push_back(m);
   return WriteRows(path,
                    {"key", "technique", "spec", "test_rmse", "test_mape",
                     "fitted_at_epoch", "ar_coef", "ma_coef", "generation",
                     "promoted_at_epoch", "live_mape", "periods"},
-                   rows);
+                   models_, [](FieldWriter& fields, const auto& entry) {
+                     fields(entry.second);
+                   });
 }
 
 Status ModelRepository::Load(const std::string& path, LoadReport* report) {

@@ -64,16 +64,19 @@ BreachScan ScanForBreach(const CachedForecast& fc, double threshold,
 
 // Snapshot rows, each declared once for writing and loading (the same
 // field codecs as the journal).
-struct ForecastRow {  // snapshot.forecasts.csv; 8 columns = pre-ladder
-  std::string key;
-  CachedForecast cached;
+// snapshot.forecasts.csv; 8 columns = pre-ladder. Loading fills owned
+// members; WriteSnapshot streams references into the service's own map.
+template <class Key = std::string, class Cached = CachedForecast>
+struct ForecastRowOf {
+  Key key;
+  Cached cached;
   static constexpr std::size_t kLegacyArities[] = {8};
   template <class F>
   void Fields(F& f) {
-    f(key, cached.spec);
-    cached.Fields(f);
+    f(key, cached.spec, cached);
   }
 };
+using ForecastRow = ForecastRowOf<>;
 
 struct QualityRow {  // snapshot.quality.csv
   std::string key;
@@ -302,10 +305,12 @@ void EstateService::ScoreShard(EstateShard* shard, std::int64_t now) {
     if (entry_it == shard->guardrail.end()) {
       EstateShard::GuardrailEntry fresh;
       fresh.tracker = quality::LiveAccuracyTracker(config_.guardrail.tracker);
-      // First sight of the key: the high-water mark starts at the previous
-      // tick's cursor, so only points this tick ingested are scored — a
-      // recovery re-poll of weeks of history must not flood the detector.
-      fresh.last_scored_epoch = cursor_;
+      // First sight of the key: only points this tick ingested are scored
+      // (a recovery re-poll of weeks of history must not flood the
+      // detector). The first of them is stamped at the previous tick's
+      // cursor, and it is the forecast's first step when the forecast was
+      // installed on that tick, so the mark starts just below it.
+      fresh.last_scored_epoch = cursor_ - 1;
       entry_it = shard->guardrail.emplace(key, std::move(fresh)).first;
     }
     EstateShard::GuardrailEntry& entry = entry_it->second;
@@ -1151,24 +1156,24 @@ Status EstateService::WriteSnapshot() {
   CAPPLAN_RETURN_NOT_OK(RetrainScheduler::SaveEntries(
       dir + "/snapshot.schedule.csv", ScheduleEntries()));
 
-  std::vector<ForecastRow> forecasts;
-  for (const auto& [key, fc] : forecasts_) forecasts.push_back({key, fc});
   CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
       dir + "/snapshot.forecasts.csv",
       {"key", "spec", "start_epoch", "step_seconds", "level", "mean", "lower",
        "upper", "degradation"},
-      forecasts));
-  std::vector<ServiceAlert> alerts;
-  for (const auto& [key, a] : alerts_) alerts.push_back(a);
+      forecasts_, [](FieldWriter& fields, const auto& entry) {
+        fields(ForecastRowOf<const std::string&, const CachedForecast&>{
+            entry.first, entry.second});
+      }));
   CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
       dir + "/snapshot.alerts.csv",
       {"key", "upper_only", "predicted_breach_epoch", "raised_at_epoch"},
-      alerts));
-  std::vector<QualityRow> quality;
-  for (const auto& [key, q] : quality_) quality.push_back({key, {q}});
+      alerts_,
+      [](FieldWriter& fields, const auto& entry) { fields(entry.second); }));
   CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
       dir + "/snapshot.quality.csv", {"key", "score", "trainable", "verdict"},
-      quality));
+      quality_, [](FieldWriter& fields, const auto& entry) {
+        fields(QualityRow{entry.first, {entry.second}});
+      }));
   CAPPLAN_RETURN_NOT_OK(repo::WriteRows(
       dir + "/snapshot.meta.csv", {"field", "value"},
       std::vector<MetaRow>{{"now_epoch", now_},
@@ -1200,7 +1205,7 @@ Status EstateService::Commit(Event event) {
   Status st = Status::OK();
   if (journal_.is_open()) {  // an ephemeral service journals nothing
     if (event.span_id == 0) event.span_id = obs::CurrentSpanId();
-    st = journal_.Append(event.Encode());
+    st = journal_.Append(event);
     if (st.ok()) {
       ++telemetry_.journal_events;
       ++journal_seq_;

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <utility>
 
 #include "common/fault.h"
@@ -18,14 +17,6 @@ namespace {
 constexpr char kSeparator = '|';
 constexpr const char* kVersionV1 = "v1";  // epoch|kind|key|fields...
 constexpr const char* kVersion = "v2";    // epoch|kind|span|key|fields...
-
-std::string Sanitize(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == kSeparator || c == '\n' || c == '\r') c = '/';
-  }
-  return out;
-}
 
 std::vector<std::string> SplitLine(const std::string& line) {
   std::vector<std::string> parts;
@@ -89,6 +80,14 @@ static_assert(std::size(kKindNames) == std::variant_size_v<EventPayload> &&
                   std::size(kKindNames) == 1 + int(EventKind::kRollback),
               "one name and one typed payload per EventKind");
 
+// The line's head: version, epoch, kind, span id and key.
+FieldWriter BeginLine(std::string* line, std::int64_t epoch, EventKind kind,
+                      std::uint64_t span_id, const std::string& key) {
+  FieldWriter fields(line, FieldFormat::kJournal);
+  fields(kVersion, epoch, EventKindName(kind), span_id, key);
+  return fields;
+}
+
 }  // namespace
 
 const char* EventKindName(EventKind kind) {
@@ -104,11 +103,10 @@ Result<EventKind> ParseEventKind(const std::string& name) {
 }
 
 std::string JournalEvent::Serialize() const {
-  std::ostringstream out;
-  out << kVersion << kSeparator << epoch << kSeparator << EventKindName(kind)
-      << kSeparator << span_id << kSeparator << Sanitize(key);
-  for (const auto& f : fields) out << kSeparator << Sanitize(f);
-  return out.str();
+  std::string line;
+  FieldWriter out = BeginLine(&line, epoch, kind, span_id, key);
+  for (const std::string& f : fields) out(f);
+  return line;
 }
 
 Result<JournalEvent> JournalEvent::Parse(const std::string& line) {
@@ -133,10 +131,15 @@ Result<JournalEvent> JournalEvent::Parse(const std::string& line) {
   return event;
 }
 
-JournalEvent Event::Encode() const {
-  return {epoch, kind(), key,
-          std::visit([](const auto& p) { return EncodeFields(p); }, payload),
-          span_id};
+void Event::AppendLine(std::string* line) const {
+  FieldWriter out = BeginLine(line, epoch, kind(), span_id, key);
+  std::visit([&](const auto& p) { out(p); }, payload);
+}
+
+std::string Event::Serialize() const {
+  std::string line;
+  AppendLine(&line);
+  return line;
 }
 
 Result<Event> Event::Parse(const std::string& line) {
@@ -158,21 +161,24 @@ Result<EventJournal> EventJournal::Open(const std::string& path) {
   return journal;
 }
 
-Status EventJournal::Append(const JournalEvent& event) {
+Status EventJournal::Append(const Event& event) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("journal: not open");
   }
   CAPPLAN_RETURN_NOT_OK(FaultHit("journal.append"));
-  const std::string line = event.Serialize() + "\n";
+  line_.clear();
+  event.AppendLine(&line_);
+  line_.push_back('\n');
   if (FaultFires("journal.torn")) {
     // A crash mid-append: a prefix of the line reaches the disk with no
     // newline, and the caller sees the write fail. ReadJournal must treat
     // the torn tail as absent.
-    std::fwrite(line.data(), 1, line.size() / 2, file_.get());
+    std::fwrite(line_.data(), 1, line_.size() / 2, file_.get());
     std::fflush(file_.get());
     return Status::IoError("journal: torn write to " + path_);
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_.get()) != line.size()) {
+  if (std::fwrite(line_.data(), 1, line_.size(), file_.get()) !=
+      line_.size()) {
     return Status::IoError("journal: short write to " + path_);
   }
   if (std::fflush(file_.get()) != 0) {

@@ -203,7 +203,10 @@ struct Event {
   std::uint64_t span_id = 0;
 
   EventKind kind() const { return static_cast<EventKind>(payload.index()); }
-  JournalEvent Encode() const;
+  // The journal line (no newline), the same layout as
+  // JournalEvent::Serialize, encoded straight from the typed payload.
+  void AppendLine(std::string* line) const;
+  std::string Serialize() const;
   // IoError for a payload that does not match its kind's layout.
   static Result<Event> Parse(const std::string& line);
 };
@@ -215,7 +218,7 @@ class EventJournal {
   // Opens `path` for appending, creating it if absent.
   static Result<EventJournal> Open(const std::string& path);
 
-  Status Append(const JournalEvent& event);
+  Status Append(const Event& event);
   bool is_open() const { return file_ != nullptr; }
   const std::string& path() const { return path_; }
   void Close() { file_.reset(); }
@@ -226,6 +229,7 @@ class EventJournal {
   };
   std::string path_;
   std::unique_ptr<std::FILE, Closer> file_;
+  std::string line_;  // reused across appends
 };
 
 // Reads every well-formed event from `path`. A torn final line (crash during

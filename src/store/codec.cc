@@ -23,6 +23,20 @@ double BitsToDouble(std::uint64_t bits) {
   return v;
 }
 
+// Two's-complement wrapping arithmetic for the delta chains: extreme
+// timestamps, or hostile bytes on decode, must not overflow a signed type
+// (undefined behaviour). Where nothing overflows the bits are the plain
+// int64 results, so the encoding is unchanged.
+std::int64_t WrapAdd(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
+std::int64_t WrapSub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
 std::uint64_t ZigZag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -156,8 +170,8 @@ std::vector<std::uint8_t> EncodeInt(const std::vector<double>& values,
       first = false;
       continue;
     }
-    const std::int64_t delta = m - prev;
-    WriteDod(&w, delta - prev_delta);
+    const std::int64_t delta = WrapSub(m, prev);
+    WriteDod(&w, WrapSub(delta, prev_delta));
     prev_delta = delta;
     prev = m;
   }
@@ -207,8 +221,8 @@ Result<std::vector<double>> DecodeInt(const std::uint8_t* data,
       if (!ReadDod(&r, &dod)) {
         return Status::IoError("codec: truncated int stream");
       }
-      prev_delta += dod;
-      prev += prev_delta;
+      prev_delta = WrapAdd(prev_delta, dod);
+      prev = WrapAdd(prev, prev_delta);
     }
     out.push_back(std::ldexp(static_cast<double>(prev), -scale));
   }
@@ -357,8 +371,8 @@ std::vector<std::uint8_t> EncodeTimestamps(
       prev = timestamps[0];
       continue;
     }
-    const std::int64_t delta = timestamps[i] - prev;
-    WriteDod(&w, delta - prev_delta);
+    const std::int64_t delta = WrapSub(timestamps[i], prev);
+    WriteDod(&w, WrapSub(delta, prev_delta));
     prev_delta = delta;
     prev = timestamps[i];
   }
@@ -384,8 +398,8 @@ Result<std::vector<std::int64_t>> DecodeTimestamps(const std::uint8_t* data,
     if (!ReadDod(&r, &dod)) {
       return Status::IoError("codec: truncated timestamp stream");
     }
-    prev_delta += dod;
-    prev += prev_delta;
+    prev_delta = WrapAdd(prev_delta, dod);
+    prev = WrapAdd(prev, prev_delta);
     out.push_back(prev);
   }
   return out;

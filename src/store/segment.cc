@@ -1,11 +1,12 @@
 #include "store/segment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+
+#include "common/file_sink.h"
 
 namespace capplan::store {
 
@@ -88,33 +89,38 @@ class ByteReader {
   std::size_t pos_;
 };
 
-std::string EncodeMeta(std::uint8_t kind, tsa::Frequency freq,
-                       const std::string& key, std::int64_t start_epoch,
-                       std::int64_t step_seconds, std::uint32_t count) {
-  std::string meta;
-  meta.push_back(static_cast<char>(kind));
-  meta.push_back(static_cast<char>(freq));
-  PutU16(&meta, static_cast<std::uint16_t>(key.size()));
-  meta.append(key);
-  PutI64(&meta, start_epoch);
-  PutI64(&meta, step_seconds);
-  PutU32(&meta, count);
-  return meta;
+void EncodeMeta(std::string* meta, std::uint8_t kind, tsa::Frequency freq,
+                std::string_view key, std::int64_t start_epoch,
+                std::int64_t step_seconds, std::uint32_t count) {
+  meta->clear();
+  meta->push_back(static_cast<char>(kind));
+  meta->push_back(static_cast<char>(freq));
+  PutU16(meta, static_cast<std::uint16_t>(key.size()));
+  meta->append(key);
+  PutI64(meta, start_epoch);
+  PutI64(meta, step_seconds);
+  PutU32(meta, count);
 }
 
-void AppendRecord(std::string* out, const std::string& meta,
-                  const std::string& payload,
+// Appends one record whose payload CRC the caller supplies: a sealed block
+// carries the CRC computed when it was sealed, so a payload changed in
+// memory since then is caught at reopen instead of persisted as valid.
+void AppendRecord(FileSink* sink, const std::string& meta,
+                  const std::uint8_t* payload, std::size_t payload_len,
+                  std::uint32_t payload_crc,
                   std::vector<std::pair<std::uint64_t, std::uint32_t>>* index) {
-  const std::uint64_t offset = out->size();
+  const std::uint64_t offset = sink->offset();
+  std::string* out = &sink->buffer();
   PutU32(out, kRecordMagic);
   PutU32(out, static_cast<std::uint32_t>(meta.size()));
   out->append(meta);
   PutU32(out, Crc32(meta.data(), meta.size()));
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  out->append(payload);
-  PutU32(out, Crc32(payload.data(), payload.size()));
+  PutU32(out, static_cast<std::uint32_t>(payload_len));
+  out->append(reinterpret_cast<const char*>(payload), payload_len);
+  PutU32(out, payload_crc);
   index->push_back(
-      {offset, static_cast<std::uint32_t>(out->size() - offset)});
+      {offset, static_cast<std::uint32_t>(sink->offset() - offset)});
+  sink->MaybeFlush();
 }
 
 struct ParsedRecord {
@@ -189,57 +195,54 @@ RecordParse ParseRecord(ByteReader* r, ParsedRecord* rec) {
 }  // namespace
 
 Status WriteSegmentFile(const std::string& path,
-                        const std::vector<SegmentSeries>& series) {
-  std::string out;
-  PutU32(&out, kHeaderMagic);
-  PutU16(&out, kVersion);
-  PutU16(&out, 0);  // flags
+                        std::span<const SegmentSeriesView> series) {
+  const std::string tmp = path + ".tmp";
+  FileSink sink(tmp);
+  PutU32(&sink.buffer(), kHeaderMagic);
+  PutU16(&sink.buffer(), kVersion);
+  PutU16(&sink.buffer(), 0);  // flags
 
   std::vector<std::pair<std::uint64_t, std::uint32_t>> index;
-  for (const SegmentSeries& s : series) {
+  std::string meta;
+  std::string hot_payload;
+  for (const SegmentSeriesView& s : series) {
     for (const SealedBlock& b : s.blocks) {
       if (b.quarantined) continue;  // placeholders do not persist
-      std::string payload(b.payload.begin(), b.payload.end());
-      AppendRecord(&out,
-                   EncodeMeta(kKindSealed, s.freq, s.key, b.start_epoch,
-                              b.step_seconds, b.count),
-                   payload, &index);
+      EncodeMeta(&meta, kKindSealed, s.freq, s.key, b.start_epoch,
+                 b.step_seconds, b.count);
+      AppendRecord(&sink, meta, b.payload.data(), b.payload.size(), b.crc,
+                   &index);
     }
-    std::string hot_payload;
-    hot_payload.reserve(s.hot.size() * 8);
+    hot_payload.clear();
     for (double v : s.hot) {
       std::uint64_t bits;
       std::memcpy(&bits, &v, sizeof bits);
       PutU64(&hot_payload, bits);
     }
-    AppendRecord(&out,
-                 EncodeMeta(kKindHot, s.freq, s.key, s.hot_start_epoch,
-                            tsa::FrequencySeconds(s.freq),
-                            static_cast<std::uint32_t>(s.hot.size())),
-                 hot_payload, &index);
+    EncodeMeta(&meta, kKindHot, s.freq, s.key, s.hot_start_epoch,
+               tsa::FrequencySeconds(s.freq),
+               static_cast<std::uint32_t>(s.hot.size()));
+    AppendRecord(&sink, meta,
+                 reinterpret_cast<const std::uint8_t*>(hot_payload.data()),
+                 hot_payload.size(),
+                 Crc32(hot_payload.data(), hot_payload.size()), &index);
   }
 
-  const std::uint64_t index_offset = out.size();
-  PutU32(&out, kIndexMagic);
-  PutU32(&out, static_cast<std::uint32_t>(index.size()));
+  const std::uint64_t index_offset = sink.offset();
   std::string entries;
   for (const auto& [offset, len] : index) {
     PutU64(&entries, offset);
     PutU32(&entries, len);
   }
-  out.append(entries);
-  PutU32(&out, Crc32(entries.data(), entries.size()));
-  PutU64(&out, index_offset);
-  PutU32(&out, kTrailerMagic);
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f.is_open()) {
-      return Status::IoError("store: cannot open " + tmp + " for writing");
-    }
-    f.write(out.data(), static_cast<std::streamsize>(out.size()));
-    if (!f.good()) return Status::IoError("store: short write to " + tmp);
+  std::string* out = &sink.buffer();
+  PutU32(out, kIndexMagic);
+  PutU32(out, static_cast<std::uint32_t>(index.size()));
+  out->append(entries);
+  PutU32(out, Crc32(entries.data(), entries.size()));
+  PutU64(out, index_offset);
+  PutU32(out, kTrailerMagic);
+  if (Status closed = sink.Close(); !closed.ok()) {
+    return Status::IoError("store: " + closed.message());
   }
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
@@ -248,6 +251,16 @@ Status WriteSegmentFile(const std::string& path,
                            ec.message());
   }
   return Status::OK();
+}
+
+Status WriteSegmentFile(const std::string& path,
+                        const std::vector<SegmentSeries>& series) {
+  std::vector<SegmentSeriesView> views;
+  views.reserve(series.size());
+  for (const SegmentSeries& s : series) {
+    views.push_back({s.key, s.freq, s.blocks, s.hot_start_epoch, s.hot});
+  }
+  return WriteSegmentFile(path, views);
 }
 
 Result<std::vector<SegmentSeries>> ReadSegmentFile(const std::string& path,

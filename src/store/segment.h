@@ -2,7 +2,9 @@
 #define CAPPLAN_STORE_SEGMENT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -60,7 +62,24 @@ struct SegmentOpenReport {
   std::uint64_t truncated_at = 0;  // file offset of the torn tail, if any
 };
 
-// Writes the segment atomically (tmp file + rename).
+// One series as WriteSegmentFile persists it. It borrows the blocks, so a
+// flush copies no sealed payload.
+struct SegmentSeriesView {
+  std::string_view key;
+  tsa::Frequency freq = tsa::Frequency::kHourly;
+  std::span<const SealedBlock> blocks;
+  std::int64_t hot_start_epoch = 0;
+  std::span<const double> hot;
+};
+
+// Writes the segment atomically (tmp file + rename), streamed through a
+// bounded buffer. A sealed block's record carries the CRC the block got when
+// it was sealed (SealedBlock::crc), not one recomputed here: a payload that
+// changed in memory after sealing reopens quarantined. Quarantined blocks
+// are skipped.
+Status WriteSegmentFile(const std::string& path,
+                        std::span<const SegmentSeriesView> series);
+// The same for series held whole, as ReadSegmentFile returns them.
 Status WriteSegmentFile(const std::string& path,
                         const std::vector<SegmentSeries>& series);
 

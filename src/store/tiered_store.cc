@@ -127,24 +127,25 @@ Status TieredStore::Flush(const std::string& path) const {
   obs::TraceSpan span("store.flush", "store");
   CAPPLAN_RETURN_NOT_OK(FaultHit("store.flush"));
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<SegmentSeries> out;
+  // The views borrow each series' sealed blocks; only the hot tails, kept
+  // in a ring, are copied out.
+  std::vector<std::vector<double>> hot(series_.size());
+  std::vector<SegmentSeriesView> out;
   out.reserve(series_.size());
   for (const auto& [key, s] : series_) {
-    SegmentSeries entry;
-    entry.key = key;
-    entry.freq = s.frequency();
-    entry.blocks = s.blocks();
-    entry.hot_start_epoch =
-        s.end_epoch() -
-        static_cast<std::int64_t>(s.hot_size()) * s.step_seconds();
-    entry.hot.reserve(s.hot_size());
+    std::vector<double>& tail = hot[out.size()];
+    tail.reserve(s.hot_size());
     SeriesStore::Cursor cursor = s.Scan(s.size() - s.hot_size());
     double v = 0.0;
-    while (cursor.Next(&v)) entry.hot.push_back(v);
-    if (entry.hot.size() != s.hot_size()) {
+    while (cursor.Next(&v)) tail.push_back(v);
+    if (tail.size() != s.hot_size()) {
       return Status::Internal("store: hot cursor ended early on flush");
     }
-    out.push_back(std::move(entry));
+    out.push_back({key, s.frequency(), s.blocks(),
+                   s.end_epoch() -
+                       static_cast<std::int64_t>(s.hot_size()) *
+                           s.step_seconds(),
+                   tail});
   }
   CAPPLAN_RETURN_NOT_OK(WriteSegmentFile(path, out));
   const double flush_ms = std::chrono::duration<double, std::milli>(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/split.h"
+#include "repo/csv.h"
 
 namespace capplan::repo {
 namespace {
@@ -136,7 +137,14 @@ TEST(ModelRepositoryTest, CoefficientsSurviveSaveLoad) {
 TEST(ModelRepositoryTest, CoefficientEncodingRoundTrip) {
   StoredModel m = MakeModel("k", 1.0, 100);
   m.ar_coef = {0.5, -1.25, 3.0};
-  const std::vector<std::string> row = EncodeFields(m);
+  ModelRepository repo;
+  repo.Put(m);
+  const std::string path = ::testing::TempDir() + "/models_coef_row.csv";
+  ASSERT_TRUE(repo.Save(path).ok());
+  auto table = ReadCsv(path);
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table->rows.size(), 1u);
+  const std::vector<std::string> row = table->rows[0];
   EXPECT_EQ(row[6], "0.5;-1.25;3");
   EXPECT_EQ(row[7], "");
   auto back = DecodeFields<StoredModel>(row);

@@ -538,6 +538,32 @@ TEST(EstateServiceTest, TelemetryJsonAppendsGuardrailAndHealthAfterShards) {
   EXPECT_NE(json.find("\"tick_overruns\":0"), std::string::npos);
 }
 
+// A fresh champion is judged from its forecast's first step: the hour
+// stamped at the tick that installed it is scored on the next tick, with no
+// hour skipped before the live window starts.
+TEST(EstateServiceTest, FirstForecastStepIsScored) {
+  const auto scenario = TestScenario();
+  workload::ClusterSimulator cluster(scenario, 7);
+  auto config = FastConfig();
+  config.fit_threads = 1;
+  EstateService service(&cluster, {{0, workload::Metric::kCpu, 95.0}},
+                        config);
+  ASSERT_TRUE(service.Start().ok());
+  const std::string key = service.keys()[0];
+  ASSERT_TRUE(service.Tick().ok());  // the first fit
+  ASSERT_TRUE(service.DrainRefits().ok());
+  const auto forecast_start = service.View()->Find(key)->forecast_start_epoch;
+  EXPECT_EQ(forecast_start, service.now());
+  const auto& scored = service.telemetry().shards[0].guardrail_scored;
+  EXPECT_EQ(scored.value(), 0u);
+  for (std::uint64_t tick = 1; tick <= 3; ++tick) {
+    ASSERT_TRUE(service.Tick().ok());
+    ASSERT_TRUE(service.DrainRefits().ok());
+    // One hour per tick, starting with the one at forecast_start.
+    EXPECT_EQ(scored.value(), tick) << "tick " << tick;
+  }
+}
+
 TEST(EstateServiceTest, LiveScoringTracksForecastAccuracy) {
   const auto scenario = TestScenario();
   workload::ClusterSimulator cluster(scenario, 7);

@@ -65,15 +65,15 @@ TEST(EventJournalTest, AppendThenReadBack) {
   {
     auto journal = EventJournal::Open(path);
     ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE(journal->Append({1, EventKind::kTick, "", {}}).ok());
+    ASSERT_TRUE(journal->Append(Event{1, "", TickEvent{}}).ok());
     ASSERT_TRUE(
-        journal->Append({2, EventKind::kAlert, "k", {"mean", "77"}}).ok());
+        journal->Append(Event{2, "k", AlertEvent{false, 77}}).ok());
   }
   // Reopening appends rather than truncating.
   {
     auto journal = EventJournal::Open(path);
     ASSERT_TRUE(journal.ok());
-    ASSERT_TRUE(journal->Append({3, EventKind::kTick, "", {}}).ok());
+    ASSERT_TRUE(journal->Append(Event{3, "", TickEvent{}}).ok());
   }
   auto events = ReadJournal(path);
   ASSERT_TRUE(events.ok());
@@ -185,7 +185,7 @@ TEST(JournalDecodeTest, EveryKindDecodesAndReencodesByteEqual) {
     auto event = Event::Parse(line);
     ASSERT_TRUE(event.ok()) << line << ": " << event.status().ToString();
     EXPECT_EQ(static_cast<std::size_t>(event->kind()), i) << line;
-    EXPECT_EQ(event->Encode().Serialize(), line);
+    EXPECT_EQ(event->Serialize(), line);
   }
 }
 
@@ -307,7 +307,7 @@ TEST(JournalDecodeTest, LegacyFitOkLayoutsKeepDecoding) {
   EXPECT_TRUE(c.model.periods.empty());
   EXPECT_EQ(c.demoted_live_mape, -1.0);
   // Re-encoding writes the current 19-field layout.
-  EXPECT_EQ(pre_warm->Encode().fields.size(), 19u);
+  EXPECT_EQ(JournalEvent::Parse(pre_warm->Serialize())->fields.size(), 19u);
 }
 
 TEST(JournalDecodeTest, V1LinesDecodeWithoutSpan) {
@@ -323,7 +323,7 @@ TEST(JournalDecodeTest, V1LinesDecodeWithoutSpan) {
   EXPECT_EQ(std::get<AlertEvent>(alert->payload).predicted_breach_epoch,
             9999);
   // Re-encoding upgrades to v2 with span 0.
-  EXPECT_EQ(alert->Encode().Serialize(), "v2|1005|alert|0|k|mean|9999");
+  EXPECT_EQ(alert->Serialize(), "v2|1005|alert|0|k|mean|9999");
 }
 
 TEST(JournalDecodeTest, ReadEventsTreatsUndecodableTailAsTorn) {

@@ -155,7 +155,7 @@ TEST_P(EstateServiceReducerTest, RecoverEqualsLiveAfterEveryTick) {
   // champion starts one tick after its promotion; a key is due every
   // max_age (2 ticks) after its last refit, promoted or rejected.
   const std::map<int, const char*> faults = {
-      // tick 3: a clean refit is promoted (too few scored hours to gate).
+      // tick 3: a clean refit is promoted.
       {5, "pipeline.poison_fit"},       // challenger rejected at the gate
       {7, "pipeline.poison_forecast"},  // promoted; the alert is raised
       {9, "pipeline.run"},              // refit fails, backs off

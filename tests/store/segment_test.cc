@@ -194,6 +194,27 @@ TEST(SegmentTest, CorruptPayloadQuarantinesOnlyThatBlock) {
   EXPECT_EQ(a.hot.size(), 3u);
 }
 
+// A payload that changes in memory after sealing (a stray write, a RAM bit
+// flip) keeps its seal-time CRC on the way to disk, so reopen quarantines
+// it instead of loading the corrupted samples as valid.
+TEST(SegmentTest, PayloadCorruptedAfterSealReopensQuarantined) {
+  std::vector<SegmentSeries> fixture = Fixture();
+  fixture[0].blocks[1].payload[5] ^= 0x10;
+  const std::string path = TempPath("corrupt_in_memory.capseg");
+  ASSERT_TRUE(WriteSegmentFile(path, fixture).ok());
+
+  SegmentOpenReport report;
+  auto loaded = ReadSegmentFile(path, &report);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(report.blocks_quarantined, 1u);
+  const SegmentSeries& a = (*loaded)[0];
+  ASSERT_EQ(a.blocks.size(), 2u);
+  EXPECT_FALSE(a.blocks[0].quarantined);
+  EXPECT_TRUE(a.blocks[1].quarantined);
+  EXPECT_EQ(a.blocks[1].start_epoch, 32 * 3600);
+  EXPECT_EQ(a.blocks[1].count, 32u);
+}
+
 TEST(SegmentTest, QuarantinedPlaceholdersDoNotPersist) {
   std::vector<double> run(16, 2.0);
   SegmentSeries s;

@@ -75,6 +75,41 @@ TEST(TieredStoreTest, FlushOpenRoundTrip) {
             store.stats().sealed_raw_bytes);
 }
 
+// Flush writes each sealed block's seal-time CRC: a block whose payload
+// was changed in memory after sealing comes back quarantined (NaN), not
+// persisted under a fresh CRC as if it were valid.
+TEST(TieredStoreTest, PayloadCorruptedAfterSealIsQuarantinedAtReopen) {
+  const std::string path = TempPath("tiered_corrupt_in_memory.capseg");
+  TieredStore store(SmallBlocks());
+  FillStore(&store, 2, 40);
+  SeriesStore* series = store.Find("series/1");
+  ASSERT_NE(series, nullptr);
+  ASSERT_GE(series->blocks().size(), 2u);
+  // A stray write into sealed memory.
+  const_cast<SealedBlock&>(series->blocks()[1]).payload[3] ^= 0x10;
+  ASSERT_TRUE(store.Flush(path).ok());
+
+  TieredStore reopened(SmallBlocks());
+  ASSERT_TRUE(reopened.Open(path).ok());
+  EXPECT_EQ(reopened.stats().blocks_quarantined, 1u);
+  const SeriesStore* back = reopened.Find("series/1");
+  ASSERT_NE(back, nullptr);
+  ASSERT_EQ(back->size(), 40u);
+  auto values = back->ReadWindow(0, 40);
+  ASSERT_TRUE(values.ok());
+  for (std::size_t i = 0; i < 40; ++i) {
+    if (i >= 16 && i < 32) {
+      EXPECT_TRUE(std::isnan((*values)[i])) << i;
+    } else {
+      EXPECT_DOUBLE_EQ((*values)[i], static_cast<double>(1000 + i)) << i;
+    }
+  }
+  // The other series is whole.
+  auto other = reopened.Find("series/0")->ReadWindow(0, 40);
+  ASSERT_TRUE(other.ok());
+  EXPECT_DOUBLE_EQ((*other)[20], 20.0);
+}
+
 TEST(TieredStoreTest, MetricsBindAndUpdate) {
   obs::MetricsRegistry registry;
   TieredStore store(SmallBlocks());
