@@ -539,16 +539,9 @@ void EstateService::SubmitBatch(PreparedBatch batch, TickReport& report) {
             continue;
           }
           out.status = Status::OK();
+          out.model =
+              core::ToStoredModel(*rep, item.key, item.fitted_at_epoch);
           repo::StoredModel& model = out.model;
-          model.technique = core::TechniqueName(rep->chosen_family);
-          model.spec = rep->chosen_spec;
-          model.test_rmse = rep->test_accuracy.rmse;
-          model.test_mape = rep->test_accuracy.mape;
-          model.ar_coef = std::move(rep->chosen_ar);
-          model.ma_coef = std::move(rep->chosen_ma);
-          for (const auto& season : rep->seasons) {
-            model.periods.push_back(static_cast<double>(season.period));
-          }
           CachedForecast& fc = out.forecast;
           fc.forecast = std::move(rep->forecast);
           fc.start_epoch = rep->forecast_start_epoch;
