@@ -1,14 +1,17 @@
 // Figure 8 stand-in: the production monitoring view. The paper shows a
 // proprietary UI offering a model choice (HES vs SARIMAX) per instance and
 // charting the prediction; this bench renders the same information as a
-// terminal dashboard driven by core::MonitoringService — per watched
-// metric: the active model, its held-out accuracy, and the threshold
-// prognosis, with the one-week staleness policy deciding refits.
+// terminal dashboard served by service::EstateService — per watched metric:
+// the active model, its held-out accuracy, and the threshold prognosis of
+// its cached forecast, with the one-week staleness policy deciding refits.
+// It reads only the service's public surfaces: the published EstateView
+// rows and the model registry.
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/monitor.h"
+#include "core/capacity.h"
+#include "service/estate_service.h"
 #include "tsa/calendar.h"
 
 using namespace capplan;
@@ -16,99 +19,65 @@ using namespace capplan;
 int main() {
   std::printf("=== Figure 8 (stand-in): estate monitoring dashboard ===\n\n");
   workload::ClusterSimulator cluster(workload::WorkloadScenario::Oltp(), 77);
-  agent::MonitoringAgent agent(&cluster);
-  repo::MetricsRepository metrics;
-  repo::ModelRepository registry;
 
-  std::vector<core::WatchSpec> watches;
+  std::vector<service::WatchConfig> watches;
   for (int inst = 0; inst < cluster.n_instances(); ++inst) {
     // The memory threshold is set just above the growing estate's current
     // level so the trend-driven early warning fires on the busier node —
     // the paper's "performance problem that begins weeks earlier" scenario.
-    for (auto [metric, threshold] :
-         {std::pair{workload::Metric::kCpu, 90.0},
-          std::pair{workload::Metric::kMemory, 8450.0},
-          std::pair{workload::Metric::kLogicalIops, 6.0e6}}) {
-      auto raw = agent.CollectDays(inst, metric, 44);
-      if (!raw.ok()) continue;
-      const std::string key = repo::MetricsRepository::KeyFor(
-          cluster.InstanceName(inst), metric);
-      if (!metrics.Ingest(key, *raw).ok()) continue;
-      watches.push_back({key, threshold});
-    }
+    watches.push_back({inst, workload::Metric::kCpu, 90.0});
+    watches.push_back({inst, workload::Metric::kMemory, 8450.0});
+    watches.push_back({inst, workload::Metric::kLogicalIops, 6.0e6});
   }
 
-  core::PipelineOptions pipeline_opts;
-  pipeline_opts.technique = core::Technique::kAuto;  // HES vs SARIMAX choice
-  pipeline_opts.max_lag = 6;
-  pipeline_opts.n_threads = 8;
-  core::MonitoringService service(&metrics, &registry, pipeline_opts);
-
-  const std::int64_t now =
-      workload::kExperimentStartEpoch + 44LL * 86400;
-  auto results = service.Evaluate(watches, now);
-  if (!results.ok()) {
-    std::fprintf(stderr, "evaluate failed: %s\n",
-                 results.status().ToString().c_str());
+  service::EstateServiceConfig config;
+  config.warmup_days = 44;
+  config.pipeline.technique = core::Technique::kAuto;  // HES vs SARIMAX
+  config.pipeline.max_lag = 6;
+  config.refit_batch_size = 1;  // one series per pool job: fits in parallel
+  service::EstateService svc(&cluster, watches, config);
+  Status st = svc.Start();
+  if (st.ok()) st = svc.Tick().status();
+  if (st.ok()) st = svc.DrainRefits();
+  if (!st.ok()) {
+    std::fprintf(stderr, "estate service failed: %s\n",
+                 st.ToString().c_str());
     return 1;
   }
+
+  const auto view = svc.View();
+  const std::int64_t now = view->now_epoch;
   std::printf("as of %s UTC\n\n", tsa::FormatTimestamp(now).c_str());
-  bench::TablePrinter table({24, 40, 8, 26});
+  bench::TablePrinter table({22, 44, 7, 30});
   table.Row({"series", "active model", "MAPE%", "threshold prognosis"});
   table.Rule();
-  for (const auto& r : *results) {
-    if (!r.status.ok()) {
-      table.Row({r.key, "ERROR: " + r.status.ToString(), "", ""});
+  for (const serve::InstanceStatus& row : view->instances) {
+    auto model = svc.registry().Get(row.key);
+    if (!row.has_forecast || !model.ok()) {
+      table.Row({row.key, "no model yet", "", ""});
       continue;
     }
-    std::string prognosis = "ok (24h clear)";
-    if (r.breach.mean_breach) {
-      prognosis = "BREACH in " +
-                  tsa::FormatDuration(r.breach.mean_breach_epoch - now);
-    } else if (r.breach.upper_breach) {
+    auto breach = core::CapacityPlanner::PredictBreach(
+        row.forecast, row.threshold, row.forecast_start_epoch,
+        row.forecast_step_seconds);
+    std::string prognosis;
+    if (!breach.ok()) {
+      prognosis = "ERROR: " + breach.status().ToString();
+    } else if (breach->mean_breach) {
+      prognosis =
+          "BREACH in " + tsa::FormatDuration(breach->mean_breach_epoch - now);
+    } else if (breach->upper_breach) {
       prognosis = "warn (upper bound) in " +
-                  tsa::FormatDuration(r.breach.upper_breach_epoch - now);
+                  tsa::FormatDuration(breach->upper_breach_epoch - now);
+    } else {
+      prognosis = "ok (" + std::to_string(row.forecast.mean.size()) +
+                  "h clear)";
     }
-    table.Row({r.key, r.model_spec, bench::Fmt(r.test_mape, 1), prognosis});
+    table.Row({row.key, row.spec, bench::Fmt(model->test_mape, 1), prognosis});
   }
   table.Rule();
   std::printf("\nmodels in registry: %zu (refit policy: 1 week or RMSE "
               "degradation)\n",
-              registry.size());
-
-  // Selector profiling panel: where the refits' grid time actually went.
-  core::SelectorProfile total;
-  std::size_t refits = 0;
-  for (const auto& r : *results) {
-    if (!r.refitted || r.selector_profile.candidates == 0) continue;
-    ++refits;
-    const core::SelectorProfile& p = r.selector_profile;
-    total.candidates += p.candidates;
-    total.succeeded += p.succeeded;
-    total.pruned += p.pruned;
-    total.failed += p.failed;
-    total.deadline_skipped += p.deadline_skipped;
-    total.warm_hits += p.warm_hits;
-    total.transform_groups += p.transform_groups;
-    total.rescored += p.rescored;
-    total.prepare_ms += p.prepare_ms;
-    total.grid_ms += p.grid_ms;
-    total.rescore_ms += p.rescore_ms;
-    total.total_ms += p.total_ms;
-  }
-  if (refits > 0) {
-    std::printf("\nselector profile (%zu grid refit%s):\n", refits,
-                refits == 1 ? "" : "s");
-    std::printf("  candidates   %6zu  (ok %zu, pruned %zu, failed %zu, "
-                "deadline-skipped %zu)\n",
-                total.candidates, total.succeeded, total.pruned, total.failed,
-                total.deadline_skipped);
-    std::printf("  warm starts  %6zu  transform groups %zu  rescored %zu\n",
-                total.warm_hits, total.transform_groups, total.rescored);
-    std::printf("  time (ms)    prepare %.1f | grid %.1f | rescore %.1f | "
-                "total %.1f\n",
-                total.prepare_ms, total.grid_ms, total.rescore_ms,
-                total.total_ms);
-  }
+              svc.registry().size());
   return 0;
 }

@@ -66,7 +66,6 @@
 #include "core/capacity.h"       // IWYU pragma: export
 #include "core/drift.h"          // IWYU pragma: export
 #include "core/ensemble.h"       // IWYU pragma: export
-#include "core/monitor.h"        // IWYU pragma: export
 #include "core/pipeline.h"       // IWYU pragma: export
 #include "core/report_json.h"    // IWYU pragma: export
 #include "core/selector.h"       // IWYU pragma: export

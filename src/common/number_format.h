@@ -26,14 +26,15 @@ inline void AppendDouble(std::string* out, double v) {
   char buf[kNumberChars];
   const auto r = std::to_chars(buf, buf + kNumberChars, v,
                                std::chars_format::general, 17);
-  out->append(buf, r.ptr);
+  out->append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
 template <class T>
   requires std::is_integral_v<T>
 void AppendInteger(std::string* out, T v) {
   char buf[kNumberChars];
-  out->append(buf, std::to_chars(buf, buf + kNumberChars, v).ptr);
+  const auto r = std::to_chars(buf, buf + kNumberChars, v);
+  out->append(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
 // Writes finite `v` at `first` (kNumberChars of room) and returns the end:

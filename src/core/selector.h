@@ -32,9 +32,8 @@ struct EvaluatedCandidate {
 
 // Where one grid selection spent its effort: per-stage wall time plus
 // candidate outcome counts. Surfaced through SelectionResult ->
-// PipelineReport -> MonitoringService::WatchResult so operators (and the
-// fig8 dashboard bench) can see prune/warm-start effectiveness per refit
-// instead of only in offline ablations.
+// PipelineReport so operators can see prune/warm-start effectiveness per
+// refit instead of only in offline ablations.
 struct SelectorProfile {
   std::size_t candidates = 0;        // grid size handed to Select()
   std::size_t succeeded = 0;         // fitted and fully scored
